@@ -1,13 +1,19 @@
-"""repro.net: the process-boundary transport layer (DESIGN.md §13).
+"""repro.net: the process-boundary layer (DESIGN.md §13).
 
-Selects *where* federated sites and RDD tasks execute:
+:class:`~repro.net.pool.WorkerPool` is the one supervisor of spawned OS
+worker processes: role-agnostic slots speaking the length-prefixed,
+checksummed, request-id-tagged frame protocol of :mod:`repro.net.frames`,
+with heartbeat liveness, idempotent retry by request-id dedup, and
+worker respawn that replays published state.  Three roles ride it —
+``fed`` and ``rdd`` through the transports below, ``score`` through
+:class:`repro.serving.ShardedScoringService`.
+
+The transports select *where* federated sites and RDD tasks execute:
 
 * :class:`InProcTransport` — thread simulations, zero overhead, the
   tier-1 default;
-* :class:`ProcTransport` — real spawn-context OS processes speaking the
-  length-prefixed, checksummed, request-id-tagged frame protocol of
-  :mod:`repro.net.frames`, with heartbeat liveness, idempotent retry by
-  request-id dedup, and worker respawn that replays published state;
+* :class:`ProcTransport` — site hosts and task executors as pool
+  workers, with per-address publication topics and round-robin tasks;
 * :class:`TcpTransport` — workers listening on real, dialable TCP
   addresses kept in a remote-addressable registry, with connect
   timeouts, reconnect-with-backoff link repair, and partition semantics
@@ -34,13 +40,19 @@ __all__ = [
     "ProcTransport",
     "TcpTransport",
     "Transport",
+    "WorkerPool",
     "for_config",
     "registry_for",
 ]
 
 
 def __getattr__(name):
-    # The process transports pull in multiprocessing; import them lazily.
+    # The pool and process transports pull in multiprocessing; import
+    # them lazily.
+    if name == "WorkerPool":
+        from repro.net.pool import WorkerPool
+
+        return WorkerPool
     if name == "ProcTransport":
         from repro.net.proc import ProcTransport
 

@@ -147,8 +147,10 @@ def recv_frame(sock: socket.socket) -> Frame:
         raise FrameProtocolError(f"unknown frame kind {kind}")
     if length > MAX_PAYLOAD:
         raise FrameProtocolError(f"frame payload too large: {length}")
-    payload = _recv_exactly(sock, length) if length else b""
-    (crc,) = _CRC.unpack(_recv_exactly(sock, _CRC.size))
+    # payload and trailer in one read: one timed recv fewer per frame
+    body = _recv_exactly(sock, length + TRAILER_SIZE)
+    payload = body[:length]
+    (crc,) = _CRC.unpack_from(body, length)
     if crc != zlib.crc32(payload):
         raise FrameProtocolError(
             f"frame checksum mismatch on request {request_id} "

@@ -1,0 +1,418 @@
+"""WorkerPool: the one supervisor of spawned OS worker processes.
+
+A pool keeps a fixed number of spawn-context worker slots per *role* and
+knows nothing about what a role does — the request payload carries its
+own dispatch tag (:mod:`repro.net.worker`).  Three roles ride it:
+federated site hosts and RDD task executors (:class:`~repro.net.proc.
+ProcTransport`) and the scoring workers of :class:`~repro.serving.
+workers.ShardedScoringService`.  Each worker is connected over a
+localhost TCP socket speaking the :mod:`repro.net.frames` protocol, with
+one request in flight per slot (the slot lock).
+
+Failure model
+-------------
+* **Liveness** — workers heartbeat on their socket; while awaiting a
+  response the coordinator counts silent grace windows
+  (``heartbeats_missed``) and probes the process.  EOF, a torn frame, or
+  a dead-and-silent process all mean the worker died.
+* **Respawn + replay** — a dead worker loses its state.  The pool keeps
+  a per-slot *publication log* (every request sent with a ``topic``, in
+  order) and replays it into the fresh incarnation — lineage-style
+  recovery: the requests are deterministic, so the rebuilt state is
+  bit-identical.  Slots with an empty log respawn bare.
+* **Idempotent resend** — the in-flight request is resent with the SAME
+  request id.  If the old incarnation had executed it and only the ACK
+  was lost (wedged worker, resend-on-timeout), the worker's dedup cache
+  replays the recorded response instead of double-executing
+  (``dedup_hits``).
+* **Wedge** — a worker that is alive but silent past
+  ``request_timeout_s`` gets one same-id resend, then is killed and
+  recovered like any other death.
+* **Chaos** — with a resilience manager bound, a round trip's fault
+  ``point`` (``fed.worker`` / ``rdd.worker`` / ``serve.worker``) SIGKILLs
+  the worker right after the request is sent, exercising exactly this
+  recovery path on a seeded schedule.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import pickle
+import signal
+import socket
+import threading
+import time
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.errors import (
+    FrameProtocolError,
+    TransportClosedError,
+    TransportError,
+    WorkerRespawnError,
+)
+from repro.net import frames, serde
+from repro.net.transport import STAT_KEYS
+from repro.net.worker import STATUS_REPLAY, worker_main
+
+#: How long one worker gets to spawn, import, connect, and handshake.
+READY_TIMEOUT_S = 60.0
+
+
+def recv_ready(sock: socket.socket, who: str) -> dict:
+    """Read a worker's READY frame; returns its hello payload."""
+    ready = frames.recv_frame(sock)
+    if ready.kind != frames.READY:
+        raise FrameProtocolError(
+            f"{who}: expected READY, got kind {ready.kind}"
+        )
+    return serde.loads(ready.payload)
+
+
+class _Handle:
+    """One worker incarnation: process + its connected socket."""
+
+    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid")
+
+    def __init__(self, role: str, index: int, incarnation: int, process,
+                 sock: socket.socket, pid: int):
+        self.role = role
+        self.index = index
+        self.incarnation = incarnation
+        self.process = process
+        self.sock = sock
+        self.pid = pid
+
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def kill(self) -> None:
+        if self.alive():
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+            except ProcessLookupError:  # pragma: no cover - raced the death
+                pass
+
+
+class WorkerPool:
+    """Supervised worker slots per role (see module docstring)."""
+
+    def __init__(self, roles: Dict[str, int], heartbeat_s: float = 0.25,
+                 request_timeout_s: float = 60.0, respawn_limit: int = 3,
+                 miss_grace: float = 3.0):
+        if not roles or min(roles.values()) < 1:
+            raise TransportError("pool needs at least one worker per role")
+        if heartbeat_s <= 0 or miss_grace < 1.0:
+            raise TransportError(
+                "heartbeat interval must be positive and the miss grace "
+                "at least one heartbeat window"
+            )
+        import multiprocessing
+
+        self._mp = multiprocessing.get_context("spawn")
+        self.heartbeat_s = heartbeat_s
+        self.request_timeout_s = request_timeout_s
+        self.respawn_limit = respawn_limit
+        #: Silent grace windows (multiples of the heartbeat interval)
+        #: before a missed heartbeat is counted and the process probed.
+        self.miss_grace = miss_grace
+        self._pools: Dict[str, List[Optional[_Handle]]] = {
+            role: [None] * count for role, count in roles.items()
+        }
+        self._slot_locks: Dict[str, List[threading.RLock]] = {
+            role: [threading.RLock() for __ in pool]
+            for role, pool in self._pools.items()
+        }
+        self._seq = itertools.count(1)
+        self._seq_lock = threading.Lock()
+        self._stats = {key: 0 for key in STAT_KEYS}
+        self._stats_lock = threading.Lock()
+        #: (role, index) -> topic -> ordered requests to replay into a
+        #: respawn.
+        self._log: Dict[Tuple[str, int], Dict[str, List[Tuple]]] = {}
+        self._log_lock = threading.RLock()
+        self._resilience = None
+        self._closed = False
+
+    @classmethod
+    def params_from(cls, config) -> dict:
+        """Constructor kwargs derived from a :class:`ReproConfig`.
+
+        ``config=None`` resolves through a default config so a bare
+        ``default()`` and a ``default(ReproConfig())`` agree on the same
+        singleton instead of churning it.
+        """
+        if config is None:
+            from repro.config import ReproConfig
+            config = ReproConfig()
+        return {
+            "heartbeat_s": config.heartbeat_interval_s,
+            "miss_grace": config.heartbeat_miss_grace,
+            "request_timeout_s": config.transport_request_timeout_s,
+        }
+
+    def bind_resilience(self, resilience) -> None:
+        """Attach the fault injector (kill points) and the shared stats."""
+        self._resilience = resilience
+
+    def snapshot(self) -> dict:
+        with self._stats_lock:
+            snap = dict(self._stats)
+        snap["live_workers"] = sum(
+            1 for pool in self._pools.values()
+            for handle in pool if handle is not None and handle.alive()
+        )
+        return snap
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for pool in self._pools.values():
+            for index, handle in enumerate(pool):
+                if handle is None:
+                    continue
+                try:
+                    frames.send_frame(handle.sock, frames.BYE, 0)
+                except (OSError, TransportError):
+                    pass
+                try:
+                    handle.sock.close()
+                except OSError:  # pragma: no cover
+                    pass
+                handle.process.join(timeout=2.0)
+                if handle.alive():  # pragma: no cover - wedged worker
+                    handle.kill()
+                    handle.process.join(timeout=2.0)
+                pool[index] = None
+
+    # --- publication log -----------------------------------------------------
+
+    def forget(self, role: str, index: int, topic: Optional[str] = None) -> None:
+        """Drop one topic of a slot's log (``None``: the slot's whole log)."""
+        with self._log_lock:
+            if topic is None:
+                self._log.pop((role, index), None)
+            else:
+                self._log.get((role, index), {}).pop(topic, None)
+
+    def _next_id(self) -> int:
+        with self._seq_lock:
+            return next(self._seq)
+
+    def _bump(self, key: str, amount: int = 1) -> None:
+        with self._stats_lock:
+            self._stats[key] += amount
+        if self._resilience is not None and key in (
+            "worker_deaths", "worker_respawns", "resent_requests"
+        ):
+            self._resilience.stats.incr(key, amount)
+
+    # --- worker lifecycle ----------------------------------------------------
+
+    def _bootstrap(self, host: str, target, args: Tuple, name: str):
+        """Start one worker process and accept its first connection.
+
+        The worker gets ``(host, port) + args`` and dials the listener;
+        returns ``(process, socket, hello)`` once its READY frame arrived.
+        """
+        if self._closed:
+            raise TransportError("transport is closed")
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            listener.bind((host, 0))
+            listener.listen(1)
+            listener.settimeout(0.5)  # each slice probes the process
+            process = self._mp.Process(
+                target=target, name=name, daemon=True,
+                args=(host, listener.getsockname()[1]) + args,
+            )
+            process.start()
+            deadline = time.monotonic() + READY_TIMEOUT_S
+            while True:
+                try:
+                    sock, __ = listener.accept()
+                    break
+                except socket.timeout:
+                    if process.is_alive() and time.monotonic() < deadline:
+                        continue
+                    process.kill()
+                    raise TransportError(
+                        f"worker {name} died during startup or did not "
+                        f"connect within {READY_TIMEOUT_S:.0f}s"
+                    ) from None
+        finally:
+            listener.close()
+        try:
+            sock.settimeout(READY_TIMEOUT_S)
+            return process, sock, recv_ready(sock, f"worker {name}")
+        except BaseException:
+            sock.close()
+            raise
+
+    def _spawn(self, role: str, index: int, incarnation: int) -> _Handle:
+        process, sock, hello = self._bootstrap(
+            "127.0.0.1", worker_main, (role, index, self.heartbeat_s),
+            f"net-{role}-{index}.{incarnation}",
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.heartbeat_s)
+        return _Handle(role, index, incarnation, process, sock, hello["pid"])
+
+    def _ensure(self, role: str, index: int) -> _Handle:
+        # caller holds the slot lock
+        handle = self._pools[role][index]
+        if handle is None:
+            handle = self._spawn(role, index, incarnation=0)
+            self._pools[role][index] = handle
+        return handle
+
+    def _respawn(self, role: str, index: int) -> List:
+        """Fresh incarnation + publication replay; returns the replies
+        of the replayed requests, in log order.
+
+        Raises :class:`TransportClosedError` if the fresh worker dies mid
+        replay; the dead handle stays in the slot, so the next round trip
+        respawns again (replay restarts from scratch; puts overwrite, so
+        it converges).
+        """
+        dead = self._pools[role][index]
+        try:
+            dead.sock.close()
+        except OSError:  # pragma: no cover
+            pass
+        handle = self._spawn(role, index, incarnation=dead.incarnation + 1)
+        self._pools[role][index] = handle
+        self._bump("worker_respawns")
+        with self._log_lock:
+            entries = [
+                request
+                for __, requests in sorted(self._log.get((role, index), {}).items())
+                for request in requests
+            ]
+        replies = [
+            self._attempt(handle, self._next_id(), serde.dumps(request))
+            for request in entries
+        ]
+        if replies:
+            self._bump("replayed_publications", len(replies))
+        return replies
+
+    # --- the round trip ------------------------------------------------------
+
+    def round_trip(self, role: str, index: int, request: Tuple,
+                   point: Optional[str] = None, topic: Optional[str] = None,
+                   on_respawn: Optional[Callable[[List], None]] = None):
+        """Send one request; survive worker deaths by respawn + resend.
+
+        ``point`` names the fault point that may SIGKILL the worker mid
+        request.  A ``topic`` appends the request, once it succeeded, to
+        the slot's publication log.  ``on_respawn`` is called with the
+        replayed requests' replies after every respawn this round trip
+        triggers (on the calling thread, under the slot lock).
+        """
+        body = serde.dumps(request)
+        request_id = self._next_id()
+        deaths = 0
+        with self._slot_locks[role][index]:
+            while True:
+                handle = self._ensure(role, index)
+                try:
+                    result = self._attempt(handle, request_id, body, point)
+                    break
+                except (TransportClosedError, FrameProtocolError) as exc:
+                    deaths += 1
+                    self._bump("worker_deaths")
+                    if deaths > self.respawn_limit:
+                        raise WorkerRespawnError(role, index, deaths) from exc
+                    replies = self._respawn(role, index)
+                    if on_respawn is not None:
+                        on_respawn(replies)
+                    self._bump("resent_requests")
+                    # loop: resend with the SAME request id (idempotent)
+            if topic is not None:
+                with self._log_lock:
+                    self._log.setdefault((role, index), {}) \
+                        .setdefault(topic, []).append(request)
+            return result
+
+    def _attempt(self, handle: _Handle, request_id: int, body: bytes,
+                 point: Optional[str] = None):
+        """One send + await on one incarnation; raises on worker death."""
+        self._send(handle, frames.REQ, request_id, body)
+        if point is not None and self._resilience is not None \
+                and self._resilience.trip(point):
+            # seeded chaos: SIGKILL the worker mid-request; the death loop
+            # above must make this invisible to the caller.  A fast worker
+            # can answer before the signal lands — that answer is dropped,
+            # so every injected kill is exactly one observed death
+            handle.kill()
+            handle.process.join(timeout=5.0)
+            raise TransportClosedError(
+                f"{handle.role} worker {handle.index} killed mid-request "
+                f"(injected at {point!r})"
+            )
+        grace_s = self.heartbeat_s * self.miss_grace
+        deadline = time.monotonic() + self.request_timeout_s
+        last_frame = time.monotonic()
+        resent = False
+        while True:
+            try:
+                frame = self._recv(handle)
+            except socket.timeout:
+                now = time.monotonic()
+                if now - last_frame > grace_s:
+                    self._bump("heartbeats_missed")
+                    last_frame = now  # one miss per silent grace window
+                    if not handle.alive():
+                        raise TransportClosedError(
+                            f"{handle.role} worker {handle.index} died "
+                            f"(silent and process gone)"
+                        ) from None
+                if now > deadline:
+                    if not resent and handle.alive():
+                        # lost-ACK recovery: resend the SAME id; the dedup
+                        # cache replays if the worker already executed it
+                        self._send(handle, frames.REQ, request_id, body)
+                        self._bump("resent_requests")
+                        resent = True
+                        deadline = now + self.request_timeout_s
+                        continue
+                    handle.kill()
+                    raise TransportClosedError(
+                        f"{handle.role} worker {handle.index} wedged on "
+                        f"request {request_id} (no response in "
+                        f"{self.request_timeout_s:.0f}s)"
+                    ) from None
+                continue
+            last_frame = time.monotonic()
+            if frame.kind == frames.HEARTBEAT:
+                self._bump("heartbeats_seen")
+                continue
+            if frame.kind not in (frames.RES, frames.ERR):
+                continue  # e.g. a READY greeting after a tcp reconnect
+            status, data = frame.payload[:1], frame.payload[1:]
+            if status == STATUS_REPLAY:
+                # counted even for stale ids: a duplicated request answers
+                # once normally and once as a replay, and the replay can
+                # land while a later request is already in flight
+                self._bump("dedup_hits")
+            if frame.request_id != request_id:
+                continue  # stale response to an abandoned id
+            if frame.kind == frames.RES:
+                return serde.loads(data)
+            raise pickle.loads(data)
+
+    def _send(self, handle: _Handle, kind: int, request_id: int,
+              payload: bytes) -> None:
+        sent = frames.send_frame(handle.sock, kind, request_id, payload)
+        with self._stats_lock:
+            self._stats["frames_sent"] += 1
+            self._stats["bytes_sent"] += sent
+
+    def _recv(self, handle: _Handle) -> frames.Frame:
+        frame = frames.recv_frame(handle.sock)
+        with self._stats_lock:
+            self._stats["frames_received"] += 1
+            self._stats["bytes_received"] += frames.frame_size(len(frame.payload))
+        return frame

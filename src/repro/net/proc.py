@@ -1,32 +1,19 @@
 """ProcTransport: federated sites and RDD executors as real OS processes.
 
-The coordinator keeps two small fixed pools of spawn-context workers —
-site hosts (federated data plane) and task executors (RDD tasks) — each
-connected over a localhost TCP socket speaking the :mod:`repro.net.frames`
-protocol.  Pools are deliberately small and shared: a qa fuzz sweep hosts
-hundreds of site addresses, so addresses hash onto site workers by
-``crc32(address) % n`` instead of mapping one process per address.
+The coordinator keeps two small fixed pools of supervised workers — site
+hosts (role ``fed``, the federated data plane) and task executors (role
+``rdd``) — on the shared :class:`~repro.net.pool.WorkerPool`, which owns
+spawning, liveness, respawn + publication-log replay, same-id resend and
+the kill points (see its module docstring for the failure model).  Pools
+are deliberately small and shared: a qa fuzz sweep hosts hundreds of site
+addresses, so addresses hash onto site workers by ``crc32(address) % n``
+instead of mapping one process per address.
 
-Failure model
--------------
-* **Liveness** — workers heartbeat on their socket; while awaiting a
-  response the coordinator counts silent grace windows
-  (``heartbeats_missed``) and probes the process.  EOF, a torn frame, or
-  a dead-and-silent process all mean the worker died.
-* **Respawn + replay** — a dead site worker loses its hosted tensors.
-  The coordinator keeps a per-address *publication log* (every ``put``,
-  ``update``, ``execute_and_store``, ``stop``/``start``, in order) and
-  replays it into the fresh incarnation — lineage-style recovery: the
-  ops are deterministic, so the republished state is bit-identical.
-  Task executors are stateless and respawn bare.
-* **Idempotent resend** — the in-flight request is resent with the SAME
-  request id.  If the old incarnation had executed it and only the ACK
-  was lost (wedged worker, resend-on-timeout), the worker's dedup cache
-  replays the recorded response instead of double-executing
-  (``dedup_hits``).
-* **Chaos** — with a resilience manager bound, the ``fed.worker`` /
-  ``rdd.worker`` fault points SIGKILL the worker right after a request
-  is sent, exercising exactly this recovery path on a seeded schedule.
+This module adds what is specific to the two compute roles: the
+:class:`RemoteSiteProxy`/:class:`ProxyRegistry` RPC surface, the
+per-address publication topics (every ``put``, ``update``,
+``execute_and_store``, ``stop``/``start``, in order; task executors are
+stateless and respawn bare), and round-robin task placement.
 
 The transport is a process-global singleton (:meth:`ProcTransport.default`)
 so repeated runs — the qa lattice, benches — reuse warm workers instead
@@ -37,54 +24,14 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import os
-import pickle
-import signal
-import socket
 import threading
-import time
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import (
-    FederatedError,
-    FrameProtocolError,
-    TransportClosedError,
-    TransportError,
-    WorkerRespawnError,
-)
+from repro.errors import FederatedError, TransportError
 from repro.federated.site import FederatedWorkerRegistry
-from repro.net import frames, serde
-from repro.net.transport import STAT_KEYS, Transport
-from repro.net.worker import STATUS_REPLAY, worker_main
-
-#: How long one worker gets to spawn, import, connect, and handshake.
-READY_TIMEOUT_S = 60.0
-
-
-class _Handle:
-    """One worker incarnation: process + its connected socket."""
-
-    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid")
-
-    def __init__(self, role: str, index: int, incarnation: int, process,
-                 sock: socket.socket, pid: int):
-        self.role = role
-        self.index = index
-        self.incarnation = incarnation
-        self.process = process
-        self.sock = sock
-        self.pid = pid
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        if self.alive():
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:  # pragma: no cover - raced the death
-                pass
+from repro.net.pool import WorkerPool
+from repro.net.transport import Transport
 
 
 class RemoteSiteProxy:
@@ -212,7 +159,7 @@ class ProxyRegistry(FederatedWorkerRegistry):
         )
 
 
-class ProcTransport(Transport):
+class ProcTransport(WorkerPool, Transport):
     """Process-boundary transport (see module docstring)."""
 
     name = "proc"
@@ -223,64 +170,18 @@ class ProcTransport(Transport):
     def __init__(self, site_workers: int = 2, task_workers: int = 2,
                  heartbeat_s: float = 0.25, request_timeout_s: float = 60.0,
                  respawn_limit: int = 3, miss_grace: float = 3.0):
-        if site_workers < 1 or task_workers < 1:
-            raise TransportError("transport needs at least one worker per pool")
-        if heartbeat_s <= 0 or miss_grace < 1.0:
-            raise TransportError(
-                "heartbeat interval must be positive and the miss grace "
-                "at least one heartbeat window"
-            )
-        import multiprocessing
-
-        self._mp = multiprocessing.get_context("spawn")
-        self.heartbeat_s = heartbeat_s
-        self.request_timeout_s = request_timeout_s
-        self.respawn_limit = respawn_limit
-        #: Silent grace windows (multiples of the heartbeat interval)
-        #: before a missed heartbeat is counted and the process probed.
-        self.miss_grace = miss_grace
-        self._pools: Dict[str, List[Optional[_Handle]]] = {
-            "fed": [None] * site_workers,
-            "rdd": [None] * task_workers,
-        }
-        self._slot_locks: Dict[str, List[threading.RLock]] = {
-            role: [threading.RLock() for __ in pool]
-            for role, pool in self._pools.items()
-        }
-        self._seq = itertools.count(1)
-        self._seq_lock = threading.Lock()
+        super().__init__(
+            {"fed": site_workers, "rdd": task_workers}, heartbeat_s,
+            request_timeout_s, respawn_limit, miss_grace,
+        )
         self._task_rr = itertools.count()
-        self._stats = {key: 0 for key in STAT_KEYS}
-        self._stats_lock = threading.Lock()
-        #: address -> ordered request tuples to replay into a respawn.
-        self._log: Dict[str, List[Tuple]] = {}
-        self._log_lock = threading.RLock()
         self._registry = ProxyRegistry(self)
-        self._resilience = None
-        self._closed = False
-
-    @classmethod
-    def _params_from(cls, config) -> dict:
-        """Constructor kwargs derived from a :class:`ReproConfig`.
-
-        ``config=None`` resolves through a default config so a bare
-        ``default()`` and a ``default(ReproConfig())`` agree on the same
-        singleton instead of churning it.
-        """
-        if config is None:
-            from repro.config import ReproConfig
-            config = ReproConfig()
-        return {
-            "heartbeat_s": config.heartbeat_interval_s,
-            "miss_grace": config.heartbeat_miss_grace,
-            "request_timeout_s": config.transport_request_timeout_s,
-        }
 
     @classmethod
     def default(cls, config=None) -> "ProcTransport":
         """The process-global transport for this class (created on first
         use, recreated only when the config-derived knobs change)."""
-        params = cls._params_from(config)
+        params = cls.params_from(config)
         with cls._instance_lock:
             instance = cls.__dict__.get("_instance")
             stale = (
@@ -303,275 +204,46 @@ class ProcTransport(Transport):
 
     def run_task(self, task) -> List:
         index = next(self._task_rr) % len(self._pools["rdd"])
-        return self._round_trip("rdd", index, ("task", task), "rdd.worker")
-
-    def bind_resilience(self, resilience) -> None:
-        self._resilience = resilience
+        return self.round_trip("rdd", index, ("task", task), "rdd.worker")
 
     def snapshot(self) -> dict:
-        with self._stats_lock:
-            snap = dict(self._stats)
+        snap = super().snapshot()
         snap["mode"] = self.name
         snap["site_workers"] = len(self._pools["fed"])
         snap["task_workers"] = len(self._pools["rdd"])
-        snap["live_workers"] = sum(
-            1 for pool in self._pools.values()
-            for handle in pool if handle is not None and handle.alive()
-        )
         return snap
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for role, pool in self._pools.items():
-            for index, handle in enumerate(pool):
-                if handle is None:
-                    continue
-                try:
-                    frames.send_frame(handle.sock, frames.BYE, 0)
-                except (OSError, TransportError):
-                    pass
-                try:
-                    handle.sock.close()
-                except OSError:  # pragma: no cover
-                    pass
-                handle.process.join(timeout=2.0)
-                if handle.alive():  # pragma: no cover - wedged worker
-                    handle.kill()
-                    handle.process.join(timeout=2.0)
-                pool[index] = None
-
-    # --- request plumbing ----------------------------------------------------
+    # --- site requests -------------------------------------------------------
 
     def site_call(self, address: str, method: str, args: Tuple = (),
                   kwargs: Optional[dict] = None, mutate: bool = False):
         """One RPC to the worker hosting ``address``; log mutations."""
-        kwargs = kwargs or {}
-        request = ("site", address, method, args, kwargs)
-        result = self._round_trip(
-            "fed", self._owner(address), request, "fed.worker"
+        return self.round_trip(
+            "fed", self._owner(address),
+            ("site", address, method, args, kwargs or {}), "fed.worker",
+            topic=address if mutate else None,
         )
-        if mutate:
-            with self._log_lock:
-                self._log.setdefault(address, []).append(request)
-        return result
 
     def registry_call(self, address: str, method: str, log: bool = True) -> None:
         """A registry-level RPC (site creation/removal) for one address."""
-        request = ("reg", method, (address,))
-        self._round_trip("fed", self._owner(address), request, "fed.worker")
-        if log:
-            with self._log_lock:
-                self._log.setdefault(address, []).append(request)
+        self.round_trip(
+            "fed", self._owner(address), ("reg", method, (address,)),
+            "fed.worker", topic=address if log else None,
+        )
 
     def forget_address(self, address: str) -> None:
-        with self._log_lock:
-            self._log.pop(address, None)
+        self.forget("fed", self._owner(address), address)
 
     def clear_sites(self) -> None:
         """Wipe hosted state on every live site worker and drop the log."""
-        with self._log_lock:
-            self._log.clear()
         for index, handle in enumerate(self._pools["fed"]):
+            self.forget("fed", index)
             if handle is None:
                 continue
             try:
-                self._round_trip("fed", index, ("reg", "clear", ()), None)
+                self.round_trip("fed", index, ("reg", "clear", ()))
             except (TransportError, OSError):  # pragma: no cover - dying pool
                 pass
 
     def _owner(self, address: str) -> int:
         return zlib.crc32(address.encode()) % len(self._pools["fed"])
-
-    def _next_id(self) -> int:
-        with self._seq_lock:
-            return next(self._seq)
-
-    def _bump(self, key: str, amount: int = 1) -> None:
-        with self._stats_lock:
-            self._stats[key] += amount
-
-    # --- worker lifecycle ----------------------------------------------------
-
-    def _spawn(self, role: str, index: int, incarnation: int) -> _Handle:
-        if self._closed:
-            raise TransportError("transport is closed")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.bind(("127.0.0.1", 0))
-            listener.listen(1)
-            listener.settimeout(READY_TIMEOUT_S)
-            port = listener.getsockname()[1]
-            process = self._mp.Process(
-                target=worker_main,
-                args=("127.0.0.1", port, role, index, self.heartbeat_s),
-                name=f"net-{role}-{index}.{incarnation}",
-                daemon=True,
-            )
-            process.start()
-            try:
-                sock, __ = listener.accept()
-            except socket.timeout:
-                process.kill()
-                raise TransportError(
-                    f"{role} worker {index} did not connect within "
-                    f"{READY_TIMEOUT_S:.0f}s"
-                ) from None
-        finally:
-            listener.close()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(READY_TIMEOUT_S)
-        ready = frames.recv_frame(sock)
-        if ready.kind != frames.READY:
-            raise FrameProtocolError(
-                f"{role} worker {index}: expected READY, got kind {ready.kind}"
-            )
-        hello = serde.loads(ready.payload)
-        sock.settimeout(self.heartbeat_s)
-        return _Handle(role, index, incarnation, process, sock, hello["pid"])
-
-    def _ensure(self, role: str, index: int) -> _Handle:
-        # caller holds the slot lock
-        handle = self._pools[role][index]
-        if handle is None:
-            handle = self._spawn(role, index, incarnation=0)
-            self._pools[role][index] = handle
-        return handle
-
-    def _respawn(self, role: str, index: int) -> _Handle:
-        """Fresh incarnation + publication replay (site workers only)."""
-        dead = self._pools[role][index]
-        try:
-            dead.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        handle = self._spawn(role, index, incarnation=dead.incarnation + 1)
-        self._pools[role][index] = handle
-        self._bump("worker_respawns")
-        if self._resilience is not None:
-            self._resilience.stats.incr("worker_respawns")
-        if role == "fed":
-            self._replay(handle, index)
-        return handle
-
-    def _replay(self, handle: _Handle, index: int) -> None:
-        """Republish every logged mutation owned by this worker, in order.
-
-        Raises :class:`TransportClosedError` if the fresh worker dies mid
-        replay — the caller's death loop counts it and respawns again
-        (replay restarts from scratch; puts overwrite, so it converges).
-        """
-        with self._log_lock:
-            batches = [
-                (address, list(entries))
-                for address, entries in sorted(self._log.items())
-                if self._owner(address) == index
-            ]
-        replayed = 0
-        for __, entries in batches:
-            for request in entries:
-                self._attempt(handle, self._next_id(), serde.dumps(request))
-                replayed += 1
-        if replayed:
-            self._bump("replayed_publications", replayed)
-
-    # --- the round trip ------------------------------------------------------
-
-    def _round_trip(self, role: str, index: int, request: Tuple,
-                    point: Optional[str]):
-        """Send one request; survive worker deaths by respawn + resend."""
-        body = serde.dumps(request)
-        request_id = self._next_id()
-        deaths = 0
-        with self._slot_locks[role][index]:
-            while True:
-                handle = self._ensure(role, index)
-                try:
-                    return self._attempt(handle, request_id, body, point)
-                except (TransportClosedError, FrameProtocolError) as exc:
-                    deaths += 1
-                    self._bump("worker_deaths")
-                    if self._resilience is not None:
-                        self._resilience.stats.incr("worker_deaths")
-                    if deaths > self.respawn_limit:
-                        raise WorkerRespawnError(role, index, deaths) from exc
-                    self._respawn(role, index)
-                    self._bump("resent_requests")
-                    if self._resilience is not None:
-                        self._resilience.stats.incr("resent_requests")
-                    # loop: resend with the SAME request id (idempotent)
-
-    def _attempt(self, handle: _Handle, request_id: int, body: bytes,
-                 point: Optional[str] = None):
-        """One send + await on one incarnation; raises on worker death."""
-        self._send(handle, frames.REQ, request_id, body)
-        if point is not None and self._resilience is not None \
-                and self._resilience.trip(point):
-            # seeded chaos: SIGKILL the worker mid-request; the death loop
-            # above must make this invisible to the caller
-            handle.kill()
-        grace_s = self.heartbeat_s * self.miss_grace
-        deadline = time.monotonic() + self.request_timeout_s
-        last_frame = time.monotonic()
-        resent = False
-        while True:
-            try:
-                frame = self._recv(handle)
-            except socket.timeout:
-                now = time.monotonic()
-                if now - last_frame > grace_s:
-                    self._bump("heartbeats_missed")
-                    last_frame = now  # one miss per silent grace window
-                    if not handle.alive():
-                        raise TransportClosedError(
-                            f"{handle.role} worker {handle.index} died "
-                            f"(silent and process gone)"
-                        ) from None
-                if now > deadline:
-                    if not resent and handle.alive():
-                        # lost-ACK recovery: resend the SAME id; the dedup
-                        # cache replays if the worker already executed it
-                        self._send(handle, frames.REQ, request_id, body)
-                        self._bump("resent_requests")
-                        resent = True
-                        deadline = now + self.request_timeout_s
-                        continue
-                    handle.kill()
-                    raise TransportClosedError(
-                        f"{handle.role} worker {handle.index} wedged on "
-                        f"request {request_id} (no response in "
-                        f"{self.request_timeout_s:.0f}s)"
-                    ) from None
-                continue
-            last_frame = time.monotonic()
-            if frame.kind == frames.HEARTBEAT:
-                self._bump("heartbeats_seen")
-                continue
-            if frame.kind not in (frames.RES, frames.ERR):
-                continue  # e.g. a READY greeting after a tcp reconnect
-            status, data = frame.payload[:1], frame.payload[1:]
-            if status == STATUS_REPLAY:
-                # counted even for stale ids: a duplicated request answers
-                # once normally and once as a replay, and the replay can
-                # land while a later request is already in flight
-                self._bump("dedup_hits")
-            if frame.request_id != request_id:
-                continue  # stale response to an abandoned id
-            if frame.kind == frames.RES:
-                return serde.loads(data)
-            raise pickle.loads(data)
-
-    def _send(self, handle: _Handle, kind: int, request_id: int,
-              payload: bytes) -> None:
-        sent = frames.send_frame(handle.sock, kind, request_id, payload)
-        with self._stats_lock:
-            self._stats["frames_sent"] += 1
-            self._stats["bytes_sent"] += sent
-
-    def _recv(self, handle: _Handle) -> frames.Frame:
-        frame = frames.recv_frame(handle.sock)
-        with self._stats_lock:
-            self._stats["frames_received"] += 1
-            self._stats["bytes_received"] += frames.frame_size(len(frame.payload))
-        return frame

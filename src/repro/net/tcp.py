@@ -54,8 +54,8 @@ import time
 from typing import Dict, Optional, Tuple
 
 from repro.errors import FrameProtocolError, TransportClosedError, TransportError
-from repro.net import frames, serde
-from repro.net.proc import READY_TIMEOUT_S, ProcTransport, _Handle
+from repro.net.pool import _Handle, recv_ready
+from repro.net.proc import ProcTransport
 from repro.net.worker import tcp_worker_main
 from repro.resilience.retry import RetryPolicy
 
@@ -108,11 +108,11 @@ class TcpTransport(ProcTransport):
         self._addresses_lock = threading.Lock()
 
     @classmethod
-    def _params_from(cls, config) -> dict:
+    def params_from(cls, config) -> dict:
         if config is None:
             from repro.config import ReproConfig
             config = ReproConfig()
-        params = super()._params_from(config)
+        params = super().params_from(config)
         params.update({
             "host": config.transport_host,
             "connect_timeout_s": config.tcp_connect_timeout_s,
@@ -136,13 +136,7 @@ class TcpTransport(ProcTransport):
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(self.connect_timeout_s)
-            greeting = frames.recv_frame(sock)
-            if greeting.kind != frames.READY:
-                raise FrameProtocolError(
-                    f"worker at {host}:{port}: expected READY greeting, "
-                    f"got kind {greeting.kind}"
-                )
-            hello = serde.loads(greeting.payload)
+            hello = recv_ready(sock, f"worker at {host}:{port}")
         except BaseException:
             try:
                 sock.close()
@@ -153,46 +147,13 @@ class TcpTransport(ProcTransport):
         return sock, hello["pid"]
 
     def _spawn(self, role: str, index: int, incarnation: int) -> _TcpHandle:
-        if self._closed:
-            raise TransportError("transport is closed")
-        boot = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            boot.bind((self.host, 0))
-            boot.listen(1)
-            boot.settimeout(READY_TIMEOUT_S)
-            boot_port = boot.getsockname()[1]
-            process = self._mp.Process(
-                target=tcp_worker_main,
-                args=(self.host, boot_port, self.host, role, index,
-                      self.heartbeat_s),
-                name=f"net-tcp-{role}-{index}.{incarnation}",
-                daemon=True,
-            )
-            process.start()
-            try:
-                conn, __ = boot.accept()
-            except socket.timeout:
-                process.kill()
-                raise TransportError(
-                    f"tcp {role} worker {index} did not register within "
-                    f"{READY_TIMEOUT_S:.0f}s"
-                ) from None
-        finally:
-            boot.close()
-        try:
-            conn.settimeout(READY_TIMEOUT_S)
-            ready = frames.recv_frame(conn)
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        if ready.kind != frames.READY:
-            raise FrameProtocolError(
-                f"tcp {role} worker {index}: expected READY registration, "
-                f"got kind {ready.kind}"
-            )
-        hello = serde.loads(ready.payload)
+        # the bootstrap connection only carries the registration
+        process, boot, hello = self._bootstrap(
+            self.host, tcp_worker_main,
+            (self.host, role, index, self.heartbeat_s),
+            f"net-tcp-{role}-{index}.{incarnation}",
+        )
+        boot.close()
         host, port = hello["host"], hello["port"]
         with self._addresses_lock:
             self._addresses[(role, index)] = (host, port)

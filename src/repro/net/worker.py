@@ -1,9 +1,15 @@
 """Entry point of one transport worker process.
 
 A worker is a spawn-context OS process that serves REQ frames until it
-reads BYE (or is killed).  One worker serves either role — federated site
-host or RDD task executor — because the request payload carries its own
-dispatch tag.  Two bootstraps exist:
+reads BYE (or is killed).  One worker serves any role — federated site
+host, RDD task executor, scoring worker — because the request payload
+carries its own dispatch tag and worker-local state is a plain ``state``
+dict that requests populate: ``site``/``reg`` requests lazily create the
+site registry, and a ``("call", fn, args)`` request runs an importable
+``fn(state, *args)``, which is how a role this package knows nothing
+about (serving's model registry) keeps state here.  On orderly exit every
+state value with a ``close()`` is closed, newest first.  Two bootstraps
+exist:
 
 * :func:`worker_main` (proc transport) — the worker dials the
   coordinator's listener and serves that single connection for life.
@@ -74,14 +80,28 @@ def _portable(exc: BaseException) -> bytes:
         return pickle.dumps(TransportError(f"{type(exc).__name__}: {exc}"))
 
 
-def _dispatch(registry, request):
+def _sites(state: dict):
+    """The worker's private site registry (never the singleton — the
+    coordinator's publication log is the source of truth)."""
+    registry = state.get("sites")
+    if registry is None:
+        from repro.federated.site import FederatedWorkerRegistry
+
+        registry = state["sites"] = FederatedWorkerRegistry()
+    return registry
+
+
+def _dispatch(state: dict, request):
     """Execute one decoded request against worker-local state."""
     from repro.errors import TransportError
 
     kind = request[0]
+    if kind == "call":
+        __, fn, args = request
+        return fn(state, *args)
     if kind == "site":
         __, address, method, args, kwargs = request
-        site = registry.site(address)
+        site = _sites(state).site(address)
         if method == "get_metrics":
             return dict(site.metrics)
         if method == "get_is_down":
@@ -89,11 +109,18 @@ def _dispatch(registry, request):
         return getattr(site, method)(*args, **kwargs)
     if kind == "reg":
         __, method, args = request
-        getattr(registry, method)(*args)
+        getattr(_sites(state), method)(*args)
         return True
     if kind == "task":
         return request[1]()
     raise TransportError(f"unknown request kind {kind!r}")
+
+
+def _close_state(state: dict) -> None:
+    for value in reversed(list(state.values())):
+        close = getattr(value, "close", None)
+        if close is not None:
+            close()
 
 
 def _heartbeat_loop(sock: socket.socket, send_lock: threading.Lock,
@@ -106,7 +133,7 @@ def _heartbeat_loop(sock: socket.socket, send_lock: threading.Lock,
             return
 
 
-def _serve_connection(sock: socket.socket, registry, dedup,
+def _serve_connection(sock: socket.socket, state: dict, dedup,
                       heartbeat_s: float, hello: dict) -> str:
     """Serve one connection until it ends; state outlives the session.
 
@@ -157,7 +184,7 @@ def _serve_connection(sock: socket.socket, registry, dedup,
                     return "closed"
                 continue
             try:
-                result = _dispatch(registry, serde.loads(frame.payload))
+                result = _dispatch(state, serde.loads(frame.payload))
                 kind, body = frames.RES, serde.dumps(result)
             except BaseException as exc:  # noqa: BLE001 - typed error propagation
                 kind, body = frames.ERR, _portable(exc)
@@ -182,22 +209,19 @@ def worker_main(host: str, port: int, role: str, index: int,
     """Proc transport: connect back to the coordinator and serve until BYE."""
     import os
 
-    from repro.federated.site import FederatedWorkerRegistry
-
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    # worker-local state: a private registry (never the singleton — the
-    # coordinator's publication log is the source of truth) and the dedup cache
-    registry = FederatedWorkerRegistry()
+    state: dict = {}
     dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
     hello = {"pid": os.getpid(), "role": role, "index": index}
     try:
-        _serve_connection(sock, registry, dedup, heartbeat_s, hello)
+        _serve_connection(sock, state, dedup, heartbeat_s, hello)
     finally:
         try:
             sock.close()
         except OSError:  # pragma: no cover
             pass
+        _close_state(state)
 
 
 def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
@@ -213,7 +237,6 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
     """
     import os
 
-    from repro.federated.site import FederatedWorkerRegistry
     from repro.net import serde
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -232,7 +255,7 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
             boot.close()
         except OSError:  # pragma: no cover
             pass
-    registry = FederatedWorkerRegistry()
+    state: dict = {}
     dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
     hello = {"pid": os.getpid(), "role": role, "index": index}
     try:
@@ -244,7 +267,7 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             try:
                 reason = _serve_connection(
-                    sock, registry, dedup, heartbeat_s, hello
+                    sock, state, dedup, heartbeat_s, hello
                 )
             finally:
                 try:
@@ -258,3 +281,4 @@ def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
             listener.close()
         except OSError:  # pragma: no cover
             pass
+        _close_state(state)

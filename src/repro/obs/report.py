@@ -100,9 +100,10 @@ def attach_transport(registry: StatsRegistry, transport) -> None:
     registry.attach("transport", transport.snapshot)
 
 
-def attach_serving(registry: StatsRegistry, metrics) -> None:
-    """Feed ``ServingMetrics.snapshot()`` into the ``serving`` section."""
-    registry.attach("serving", metrics.snapshot)
+def attach_serving(registry: StatsRegistry, source) -> None:
+    """Feed ``source.snapshot()`` — a scoring service's, or a bare
+    ``ServingMetrics``' — into the ``serving`` section."""
+    registry.attach("serving", source.snapshot)
 
 
 def attach_resilience(registry: StatsRegistry, manager) -> None:
@@ -212,6 +213,9 @@ def _render_serving(section: dict, lines: List[str]) -> None:
             f"shm={entry.get('shm_segments_attached', 0)}/"
             f"{entry.get('shm_checksums_verified', 0)}"
         )
+    transport = section.get("transport")
+    if transport:
+        lines.append("  transport: " + _kv_line(transport))
 
 
 def _render_resilience(section: dict, lines: List[str]) -> None:

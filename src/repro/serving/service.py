@@ -126,7 +126,12 @@ class ScoringService:
         )
         self.metrics.depth_probe = lambda: self._batcher.depth
         self._workers: List[threading.Thread] = []
-        self._num_workers = workers
+        #: The shard each worker loop takes from: one loop per shard when
+        #: sharded (a shard's loop never steals another shard's work),
+        #: else ``workers`` loops over the single shard.
+        self._loop_shards = (
+            list(range(shards)) if shards > 1 else [None] * workers
+        )
         self._stop = threading.Event()
         self._started = False
 
@@ -137,10 +142,10 @@ class ScoringService:
             return self
         self._started = True
         self._stop.clear()
-        for index in range(self._num_workers):
+        for index, shard in enumerate(self._loop_shards):
             worker = threading.Thread(
-                target=self._worker_loop, name=f"scoring-worker-{index}",
-                daemon=True,
+                target=self._worker_loop, args=(shard,),
+                name=f"scoring-worker-{index}", daemon=True,
             )
             worker.start()
             self._workers.append(worker)
@@ -239,7 +244,7 @@ class ScoringService:
         """
         from repro.obs import attach_pool, attach_serving
 
-        attach_serving(stats_registry, self.metrics)
+        attach_serving(stats_registry, self)
         attach_pool(stats_registry, self.registry.pool)
         self.registry.set_stats(stats_registry)
         return self
@@ -269,8 +274,10 @@ class ScoringService:
                 f">= {self._shed_watermark})"
             )
 
-    def _score_batch(self, servable: ServableModel, stacked: np.ndarray):
-        """Run one coalesced batch, with retry + breaker when resilience is on."""
+    def _score_batch(self, servable: ServableModel, stacked: np.ndarray,
+                     n_requests: int):
+        """Run one coalesced batch of ``n_requests`` requests, with retry +
+        breaker when resilience is on."""
         resilience = self.resilience
         if resilience is None:
             return servable.score_batch(stacked)
@@ -296,9 +303,9 @@ class ScoringService:
 
     # --- workers ------------------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, shard: Optional[int]) -> None:
         while not self._stop.is_set():
-            taken = self._batcher.take(timeout=0.05)
+            taken = self._batcher.take(timeout=0.05, shard=shard)
             if taken is None:
                 continue
             model_key, requests = taken
@@ -331,7 +338,7 @@ class ScoringService:
             [request.features for request in requests]
         )
         try:
-            scores = self._score_batch(servable, stacked)
+            scores = self._score_batch(servable, stacked, len(requests))
         except Exception as exc:  # noqa: BLE001 - fail the batch, not the worker
             self.metrics.record_error(servable.key, count=len(requests))
             for request in requests:

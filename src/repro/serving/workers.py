@@ -3,135 +3,67 @@
 :class:`ShardedScoringService` keeps the single-process front end — the
 same ``submit``/``score`` admission path, bounded queue, deadlines,
 per-tenant QoS, breakers, and load shedding — but executes batches in N
-OS worker *processes*, so scoring escapes the GIL:
+OS worker *processes*, so scoring escapes the GIL.  The processes are the
+``score`` role of a :class:`repro.net.pool.WorkerPool`, the supervisor
+federated sites and RDD executors also run on (DESIGN.md §13), so this
+module holds no process, queue or liveness code of its own:
 
 * at ``start()`` the parent publishes every registered model's weights
-  into content-addressed shared memory (:mod:`repro.io.shm`) and spawns
-  one worker per shard; each worker attaches the segments zero-copy,
-  checksum-verifies them, recompiles the scoring scripts locally, and
-  reports a ready handshake with its attach counts;
+  into content-addressed shared memory (:mod:`repro.io.shm`) and sends
+  each worker slot one *init* request, logged for replay; the worker
+  attaches the segments zero-copy, checksum-verifies them, recompiles
+  the scoring scripts locally, and replies with its attach counts;
 * models route to shards by ``crc32(model) % shards`` (the
   :class:`~repro.serving.batcher.MicroBatcher`'s shard routing), and one
-  parent dispatcher thread per shard forms batches with
-  ``take(shard=...)`` and round-trips them to its worker — one in-flight
-  batch per worker, which keeps worker death recovery exact;
-* a worker death (detected while awaiting its result) respawns the
-  worker on **fresh queues** — a SIGKILL can corrupt a pipe mid-write,
-  so queues are per-incarnation — re-attaches the same shared segments,
-  and *resends* the in-flight batch.  Scoring is deterministic and
-  :class:`~repro.serving.service.ScoreFuture` is set-once, so a resend
-  is bit-identical and duplicate results are harmless: zero requests are
-  dropped, no request observes the death;
+  parent loop per shard forms batches with ``take(shard=...)`` and
+  round-trips each to its worker — one in-flight batch per worker;
+* a worker death (SIGKILL, crash, or a wedge past the transport request
+  timeout) is recovered by the pool: respawn, replay of the init request
+  against the same shared segments, and a same-id *resend* of the
+  in-flight batch.  Scoring is deterministic, so the resend is
+  bit-identical: zero requests are dropped, no request observes the
+  death.  Past ``respawn_limit`` deaths on one batch, that batch — not
+  the plane — fails with :class:`~repro.errors.WorkerDiedError`;
 * the ``serve.worker`` fault point turns the death path into a seeded
-  chaos experiment: when its rule trips after a batch is sent, the
-  parent SIGKILLs the worker mid-batch.
+  chaos experiment: when its rule trips after a batch is sent, the pool
+  SIGKILLs the worker mid-batch.
 
-Workers are ``spawn``-context (fork is unsafe under the parent's
-threads); the child re-imports :mod:`repro`, so ``PYTHONPATH`` carries
-over naturally.
+Heartbeat and timeout values come from the registry config's transport
+fields (``heartbeat_interval_s``, ``heartbeat_miss_grace``,
+``transport_request_timeout_s``).
 """
 
 from __future__ import annotations
 
-import os
-import queue as queue_mod
-import signal
-import threading
-import time
-from typing import List, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import Optional
 
 import numpy as np
 
-from repro.errors import ServingError, WorkerDiedError
+from repro.errors import ServingError, WorkerDiedError, WorkerRespawnError
 from repro.serving.metrics import ServingMetrics
 from repro.serving.qos import QosController
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
 
-#: How long ``start()`` waits for one worker's ready handshake.  Spawned
-#: children import numpy and recompile every model, so this is generous.
-READY_TIMEOUT_S = 60.0
 
-#: Poll interval while awaiting a worker's batch result (each wait also
-#: probes worker liveness, so this bounds death-detection latency).
-_RESULT_POLL_S = 0.05
-
-
-def _worker_main(index: int, entries, config, task_queue, result_queue) -> None:
-    """Entry point of one scoring worker process.
-
-    Rebuilds the model registry over the parent's shared-memory weights,
-    handshakes, then serves ``(batch_id, name, version, features)`` tasks
-    until it reads the ``None`` sentinel.  Any per-batch exception is
-    returned to the parent, never raised out of the loop — a worker only
-    dies by sentinel or by signal.
-    """
-    from repro.io import shm as shm_mod
+def _attach_models(state: dict, entries, config) -> dict:
+    """Worker side of the init request: rebuild the model registry over
+    the parent's shared-memory weights; returns the attach counts."""
+    from repro.io import shm
 
     # this worker shares the parent's resource tracker (spawn inherits it);
     # the parent's registration is the one that must survive
-    shm_mod.UNTRACK_ON_ATTACH = False
-    store = shm_mod.SharedWeightStore(scavenge=False)
-    try:
-        registry = ModelRegistry.from_shared(entries, store, config)
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        result_queue.put(("fatal", -1, _portable(exc)))
-        store.close(unlink=False)
-        return
-    shm = store.snapshot()
-    result_queue.put(
-        ("ready", index,
-         {"pid": os.getpid(), "segments": shm["attached"],
-          "verified": shm["verified"]})
-    )
-    try:
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            batch_id, name, version, features = task
-            try:
-                servable = registry.get(name, version)
-                scores = servable.score_batch(features)
-                result_queue.put(("ok", batch_id, scores))
-            except BaseException as exc:  # noqa: BLE001
-                result_queue.put(("err", batch_id, _portable(exc)))
-    finally:
-        registry.close()
-        store.close(unlink=False)
+    shm.UNTRACK_ON_ATTACH = False
+    store = state["store"] = shm.SharedWeightStore(scavenge=False)
+    state["models"] = ModelRegistry.from_shared(entries, store, config)
+    counts = store.snapshot()
+    return {"segments": counts["attached"], "verified": counts["verified"]}
 
 
-def _portable(exc: BaseException) -> BaseException:
-    """An exception safe to pickle across the result queue."""
-    try:
-        import pickle
-
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:  # noqa: BLE001 - unpicklable payload/ctor
-        return ServingError(f"{type(exc).__name__}: {exc}")
-
-
-class _WorkerHandle:
-    """One worker incarnation: process + its private queue pair."""
-
-    __slots__ = ("index", "incarnation", "process", "task_queue",
-                 "result_queue")
-
-    def __init__(self, index: int, incarnation: int, process, task_queue,
-                 result_queue):
-        self.index = index
-        self.incarnation = incarnation
-        self.process = process
-        self.task_queue = task_queue
-        self.result_queue = result_queue
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        if self.process.pid is not None and self.alive():
-            os.kill(self.process.pid, signal.SIGKILL)
+def _score(state: dict, name: str, version: int, features: np.ndarray):
+    """Worker side of one batch."""
+    return state["models"].get(name, version).score_batch(features)
 
 
 class ShardedScoringService(ScoringService):
@@ -168,16 +100,8 @@ class ShardedScoringService(ScoringService):
         )
         self.procs = procs
         self.respawn_limit = respawn_limit
-        import multiprocessing
-
-        self._mp = multiprocessing.get_context("spawn")
         self._store = None
-        self._entries = None
-        self._worker_config = None
-        self._handles: List[Optional[_WorkerHandle]] = [None] * procs
-        self._dispatchers: List[threading.Thread] = []
-        self._batch_seq = 0
-        self._seq_lock = threading.Lock()
+        self._pool = None
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -185,243 +109,90 @@ class ShardedScoringService(ScoringService):
         if self._started:
             return self
         from repro.io.shm import SharedWeightStore
+        from repro.net.pool import WorkerPool
 
-        self._started = True
-        self._stop.clear()
+        config = self.registry.config
         self._store = SharedWeightStore()
-        self._entries = self.registry.share_weights(self._store)
-        # workers must not re-inject the parent's faults or share its spill
-        # directory; everything else (lineage reuse, kernels) carries over
-        self._worker_config = self.registry.config.copy(
-            spill_dir=None, fault_spec=None, enable_resilience=False,
+        self._pool = WorkerPool(
+            {"score": self.procs}, respawn_limit=self.respawn_limit,
+            **WorkerPool.params_from(config),
         )
-        for shard in range(self.procs):
-            self._handles[shard] = self._spawn(shard, incarnation=0)
-        for shard in range(self.procs):
-            self._await_ready(self._handles[shard])
-        for shard in range(self.procs):
-            dispatcher = threading.Thread(
-                target=self._dispatch_loop, args=(shard,),
-                name=f"shard-dispatch-{shard}", daemon=True,
-            )
-            dispatcher.start()
-            self._dispatchers.append(dispatcher)
-        return self
+        self._pool.bind_resilience(self.resilience)
+        try:
+            # workers must not re-inject the parent's faults or share its
+            # spill directory; everything else (lineage reuse, kernels)
+            # carries over
+            init = ("call", _attach_models, (
+                self.registry.share_weights(self._store),
+                config.copy(spill_dir=None, fault_spec=None,
+                            enable_resilience=False),
+            ))
+            # one thread per slot, so the workers spawn and compile in
+            # parallel; the logged init is what a respawn replays
+            with ThreadPoolExecutor(self.procs) as executor:
+                attaches = list(executor.map(
+                    lambda shard: self._pool.round_trip(
+                        "score", shard, init, topic="init"),
+                    range(self.procs),
+                ))
+        except BaseException:
+            # a worker failed to bootstrap: leave no sibling alive and no
+            # segment linked
+            self._release()
+            raise
+        for shard, attach in enumerate(attaches):
+            self.metrics.record_worker_attach(shard, **attach)
+        return super().start()
 
     def stop(self) -> None:
         if not self._started:
             return
-        self._stop.set()
-        leftovers = self._batcher.close()
-        for request in leftovers:
-            request.future.set_exception(
-                ServingError("service stopped before the request ran")
-            )
-        for dispatcher in self._dispatchers:
-            dispatcher.join(timeout=10.0)
-        self._dispatchers = []
-        for handle in self._handles:
-            if handle is None:
-                continue
-            try:
-                handle.task_queue.put(None)
-            except (OSError, ValueError):  # pragma: no cover - dead queue
-                pass
-        for handle in self._handles:
-            if handle is None:
-                continue
-            handle.process.join(timeout=5.0)
-            if handle.alive():  # pragma: no cover - wedged worker
-                handle.kill()
-                handle.process.join(timeout=5.0)
-            self._close_queues(handle)
-        self._handles = [None] * self.procs
-        if self._store is not None:
-            self._store.close(unlink=True)
-            self._store = None
-        self._started = False
+        super().stop()
+        self._release()
 
-    # --- worker lifecycle ----------------------------------------------------
-
-    def _spawn(self, shard: int, incarnation: int) -> _WorkerHandle:
-        task_queue = self._mp.Queue()
-        result_queue = self._mp.Queue()
-        process = self._mp.Process(
-            target=_worker_main,
-            args=(shard, self._entries, self._worker_config, task_queue,
-                  result_queue),
-            name=f"scoring-worker-{shard}.{incarnation}",
-            daemon=True,
-        )
-        process.start()
-        return _WorkerHandle(shard, incarnation, process, task_queue,
-                             result_queue)
-
-    def _await_ready(self, handle: _WorkerHandle) -> None:
-        deadline = time.monotonic() + READY_TIMEOUT_S
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ServingError(
-                    f"worker {handle.index} did not become ready within "
-                    f"{READY_TIMEOUT_S:.0f}s"
-                )
-            try:
-                message = handle.result_queue.get(timeout=min(remaining, 0.5))
-            except queue_mod.Empty:
-                if not handle.alive():
-                    raise ServingError(
-                        f"worker {handle.index} died during startup"
-                    )
-                continue
-            kind, _ident, payload = message
-            if kind == "fatal":
-                raise ServingError(
-                    f"worker {handle.index} failed to bootstrap: {payload}"
-                )
-            if kind == "ready":
-                self.metrics.record_worker_attach(
-                    handle.index, payload["segments"], payload["verified"]
-                )
-                return
-
-    @staticmethod
-    def _close_queues(handle: _WorkerHandle) -> None:
-        for q in (handle.task_queue, handle.result_queue):
-            try:
-                q.close()
-                q.join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-
-    def _respawn(self, shard: int, resent: int) -> _WorkerHandle:
-        """Replace a dead worker with a fresh incarnation (fresh queues)."""
-        dead = self._handles[shard]
-        self._close_queues(dead)
-        handle = self._spawn(shard, incarnation=dead.incarnation + 1)
-        self._await_ready(handle)
-        self._handles[shard] = handle
-        self.metrics.record_worker_respawn(shard, resent=resent)
-        if self.resilience is not None:
-            self.resilience.stats.incr("worker_respawns")
-            self.resilience.stats.incr("resent_requests", resent)
-        return handle
+    def _release(self) -> None:
+        self._pool.close()
+        self._store.close(unlink=True)
 
     # --- dispatch -----------------------------------------------------------
 
-    def _dispatch_loop(self, shard: int) -> None:
-        while not self._stop.is_set():
-            taken = self._batcher.take(timeout=0.05, shard=shard)
-            if taken is None:
-                continue
-            model_key, requests = taken
-            try:
-                self._execute_remote(shard, requests)
-            finally:
-                self._batcher.done(model_key)
+    def _score_batch(self, servable, stacked: np.ndarray,
+                     n_requests: int) -> np.ndarray:
+        """Round-trip one batch to its shard's worker.
 
-    def _next_batch_id(self) -> int:
-        with self._seq_lock:
-            self._batch_seq += 1
-            return self._batch_seq
-
-    def _execute_remote(self, shard: int, requests) -> None:
-        requests = self._split_expired(requests)
-        if not requests:
-            return
-        servable = requests[0].servable
-        self.metrics.record_batch(servable.key, sum(r.rows for r in requests))
-        stacked = requests[0].features if len(requests) == 1 else np.vstack(
-            [request.features for request in requests]
-        )
-        try:
-            scores = self._round_trip(shard, servable, stacked, len(requests))
-        except Exception as exc:  # noqa: BLE001 - fail the batch, not the plane
-            self.metrics.record_error(servable.key, count=len(requests))
-            for request in requests:
-                request.future.set_exception(exc)
-            return
-        finished = time.monotonic()
-        offset = 0
-        for request in requests:
-            request.future.set_result(scores[offset:offset + request.rows])
-            offset += request.rows
-            self.metrics.record_completed(
-                servable.key, finished - request.enqueued,
-                tenant=request.tenant,
-            )
-        self.metrics.record_worker_batch(shard, len(requests))
-
-    def _round_trip(self, shard: int, servable, stacked: np.ndarray,
-                    n_requests: int) -> np.ndarray:
-        """Send one batch to the shard's worker and await its result.
-
-        A dead worker is respawned (fresh queues, same shared segments)
-        and the batch is *resent* — scoring is deterministic, so the
-        retried result is bit-identical and no request is dropped.
+        The pool makes a worker death invisible (respawn, init replay,
+        same-id resend); this only mirrors it into the per-worker metrics.
         """
-        deaths = 0
-        while True:
-            handle = self._handles[shard]
-            batch_id = self._next_batch_id()
-            handle.task_queue.put(
-                (batch_id, servable.name, servable.version, stacked)
-            )
-            if self.resilience is not None \
-                    and self.resilience.trip("serve.worker"):
-                # seeded chaos: SIGKILL the worker mid-batch; recovery
-                # below must make this invisible to every request
-                handle.kill()
-            result = self._await_result(handle, batch_id)
-            if result is not None:
-                kind, payload = result
-                if kind == "ok":
-                    return payload
-                raise payload  # the worker's per-batch exception
-            # worker died mid-batch
-            deaths += 1
-            self.metrics.record_worker_death(shard)
-            if self.resilience is not None:
-                self.resilience.stats.incr("worker_deaths")
-            if deaths > self.respawn_limit:
-                raise WorkerDiedError(
-                    f"worker {shard} died {deaths} times executing one "
-                    f"batch (respawn_limit={self.respawn_limit})"
-                )
-            self._respawn(shard, resent=n_requests)
+        shard = self._batcher.shard_for(servable.key)
 
-    def _await_result(self, handle: _WorkerHandle, batch_id: int):
-        """(kind, payload) from the worker, or None when it died."""
-        while True:
-            try:
-                kind, ident, payload = handle.result_queue.get(
-                    timeout=_RESULT_POLL_S
-                )
-            except queue_mod.Empty:
-                if not handle.alive():
-                    # drain whatever made it out before the death: the
-                    # result may have been queued before the kill landed
-                    try:
-                        kind, ident, payload = handle.result_queue.get(
-                            timeout=_RESULT_POLL_S
-                        )
-                    except queue_mod.Empty:
-                        return None
-                    if ident == batch_id and kind in ("ok", "err"):
-                        return kind, payload
-                    return None
-                continue
-            if ident != batch_id:  # stale/handshake noise — ignore
-                continue
-            if kind in ("ok", "err"):
-                return kind, payload
+        def on_respawn(replies) -> None:
+            self.metrics.record_worker_death(shard)
+            self.metrics.record_worker_respawn(shard, resent=n_requests)
+            for attach in replies:
+                self.metrics.record_worker_attach(shard, **attach)
+
+        try:
+            scores = self._pool.round_trip(
+                "score", shard,
+                ("call", _score, (servable.name, servable.version, stacked)),
+                "serve.worker", on_respawn=on_respawn,
+            )
+        except WorkerRespawnError as exc:
+            self.metrics.record_worker_death(shard)  # the unrecovered one
+            raise WorkerDiedError(
+                f"worker {shard} died {exc.deaths} times executing one "
+                f"batch (respawn_limit={self.respawn_limit})"
+            ) from exc
+        self.metrics.record_worker_batch(shard, n_requests)
+        return scores
 
     # --- observability -------------------------------------------------------
 
     def snapshot(self) -> dict:
         snap = self.metrics.snapshot()
-        if self._store is not None:
+        if self._pool is not None:
             snap["shared_memory"] = self._store.snapshot()
+            snap["transport"] = self._pool.snapshot()
         if self.qos is not None:
             snap["qos"] = self.qos.snapshot()
         return snap

@@ -2,11 +2,16 @@
 
 The ``serve.worker`` fault point makes the parent SIGKILL a worker right
 after sending it a batch (a true mid-batch death, not a graceful exit).
-Recovery must respawn the worker on fresh queues, re-attach the shared
-weights, and resend the in-flight batch — every request resolves with
-bit-identical results and zero drops, under a seeded plan that replays
-the same death schedule on every run.
+Recovery must respawn the worker, re-attach the shared weights (the
+pool replays the logged init request), and resend the in-flight batch —
+every request resolves with bit-identical results and zero drops, under
+a seeded plan that replays the same death schedule on every run.  A
+worker that is alive but wedged (SIGSTOP) is escalated by the transport
+timeouts to the same recovery.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -20,16 +25,16 @@ FEATURES = 6
 SCRIPT = "yhat = X %*% B"
 
 
-def _rig(fault_spec, seed=11, **service_kwargs):
+def _rig(fault_spec, seed=11, config=None, procs=2, **service_kwargs):
     rng = np.random.default_rng(3)
     b = rng.standard_normal((FEATURES, 1))
-    registry = ModelRegistry()
+    registry = ModelRegistry(config)
     registry.register("lm", SCRIPT, weights={"B": b})
     resilience = ResilienceManager.from_config(
         ReproConfig(fault_spec=fault_spec, fault_seed=seed)
     )
-    service = ShardedScoringService(registry, procs=2, resilience=resilience,
-                                    **service_kwargs)
+    service = ShardedScoringService(registry, procs=procs,
+                                    resilience=resilience, **service_kwargs)
     return registry, service, resilience, b
 
 
@@ -110,3 +115,82 @@ class TestSigkillMidBatch:
                 assert stats["injected_by_point"]["serve.worker"] == 1
             finally:
                 registry.close()
+
+
+class TestWedgedWorker:
+    def test_sigstop_mid_batch_is_killed_respawned_and_resent(self):
+        # alive but silent: no EOF ever arrives, only the heartbeat +
+        # request-timeout escalation can recover the batch
+        config = ReproConfig(
+            enable_lineage=True, reuse_policy="full",
+            heartbeat_interval_s=0.1, transport_request_timeout_s=1.0,
+        )
+        registry, service, resilience, b = _rig(None, config=config, procs=1)
+        try:
+            row = np.random.default_rng(5).standard_normal((3, FEATURES))
+            with service:
+                before = service.score("lm", row, timeout=60.0)
+                pid = service._pool._pools["score"][0].pid
+                os.kill(pid, signal.SIGSTOP)
+                try:
+                    after = service.score("lm", row, timeout=60.0)
+                finally:
+                    try:
+                        os.kill(pid, signal.SIGCONT)
+                    except ProcessLookupError:
+                        pass  # the wedge-kill already reaped it
+                snap = service.snapshot()
+            assert np.array_equal(before, after)
+            np.testing.assert_allclose(after, row @ b)
+            assert snap["transport"]["heartbeats_missed"] > 0
+            worker = snap["workers"]["0"]
+            assert worker["deaths"] == 1
+            assert worker["respawns"] == 1
+            assert service._pool._pools["score"][0] is None  # drained
+        finally:
+            registry.close()
+
+
+class TestDuplicateDelivery:
+    def test_resent_score_id_is_replayed_not_rescored(self):
+        from repro.net import serde
+        from repro.serving.workers import _score
+
+        registry, service, resilience, b = _rig(None, procs=1)
+        try:
+            with service:
+                pool = service._pool
+
+                def count_scores(state):
+                    model = state["models"].get("lm")
+                    inner, calls = model.score_batch, []
+                    state["score_calls"] = calls
+
+                    def counting(features):
+                        calls.append(len(features))
+                        return inner(features)
+
+                    model.score_batch = counting
+
+                pool.round_trip("score", 0, ("call", count_scores, ()))
+                x = np.ones((2, FEATURES))
+                body = serde.dumps(("call", _score, ("lm", 1, x)))
+                with pool._slot_locks["score"][0]:
+                    handle = pool._ensure("score", 0)
+                    request_id = pool._next_id()
+                    hits_before = service.snapshot()["transport"]["dedup_hits"]
+                    first = pool._attempt(handle, request_id, body)
+                    # a duplicate delivery / resend after a lost ACK carries
+                    # the SAME id: the worker answers from its dedup cache
+                    second = pool._attempt(handle, request_id, body)
+                assert np.array_equal(first, second)
+                np.testing.assert_allclose(first, x @ b)
+                snap = service.snapshot()
+                assert snap["transport"]["dedup_hits"] == hits_before + 1
+                scored = pool.round_trip(
+                    "score", 0,
+                    ("call", lambda state: list(state["score_calls"]), ()),
+                )
+                assert scored == [2]  # one execution for two deliveries
+        finally:
+            registry.close()

@@ -4,10 +4,12 @@ Workers are spawned OS processes attaching shared-memory weights, so one
 module-scoped service is reused across tests to keep spawn cost down.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from repro.errors import ServingError, UnknownModelError
+from repro.errors import ServingError, SharedSegmentError, UnknownModelError
 from repro.serving import (
     ModelRegistry,
     QosController,
@@ -125,4 +127,47 @@ class TestConstruction:
                 got = service.score("twin-b", np.ones(4), timeout=30.0)
                 np.testing.assert_allclose(got, [[4.0]])
         finally:
+            registry.close()
+
+
+class TestStartRollback:
+    def test_failed_bootstrap_leaves_nothing_behind(self):
+        from multiprocessing import shared_memory
+
+        from repro.io.shm import HEADER_SIZE
+
+        registry = ModelRegistry()
+        registry.register("lm", SCRIPT, weights={"B": np.ones((FEATURES, 1))})
+        service = ShardedScoringService(registry, procs=2)
+        published = []
+        share_weights = registry.share_weights
+
+        def share_then_corrupt(store):
+            entries = share_weights(store)
+            spec = entries[0]["weights"]["B"]
+            published.append(spec.name)
+            raw = shared_memory.SharedMemory(name=spec.name)
+            try:
+                raw.buf[HEADER_SIZE] ^= 0xFF
+            finally:
+                raw.close()
+            return entries
+
+        children_before = set(multiprocessing.active_children())
+        try:
+            registry.share_weights = share_then_corrupt
+            with pytest.raises(SharedSegmentError, match="checksum"):
+                service.start()
+            # rolled back: no worker outlives the failure, the published
+            # segment is unlinked, and the service is startable again
+            assert set(multiprocessing.active_children()) <= children_before
+            assert service.snapshot()["shared_memory"]["owned"] == 0
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=published[0])
+            registry.share_weights = share_weights
+            with service:
+                got = service.score("lm", np.ones(FEATURES), timeout=30.0)
+                np.testing.assert_allclose(got, [[float(FEATURES)]])
+        finally:
+            service.stop()
             registry.close()
