@@ -84,8 +84,9 @@ def encode(kind: int, request_id: int, payload: bytes = b"") -> bytes:
     if len(payload) > MAX_PAYLOAD:
         raise FrameProtocolError(f"frame payload too large: {len(payload)}")
     base = _BASE_HEADER.pack(MAGIC, VERSION, kind, request_id, len(payload))
-    return (base + _CRC.pack(zlib.crc32(base))
-            + payload + _CRC.pack(zlib.crc32(payload)))
+    # one join = one copy of the payload (chained + would copy it twice)
+    return b"".join((base, _CRC.pack(zlib.crc32(base)),
+                     payload, _CRC.pack(zlib.crc32(payload))))
 
 
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:

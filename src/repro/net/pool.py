@@ -391,7 +391,8 @@ class WorkerPool:
                 continue
             if frame.kind not in (frames.RES, frames.ERR):
                 continue  # e.g. a READY greeting after a tcp reconnect
-            status, data = frame.payload[:1], frame.payload[1:]
+            # a view, not a slice: no second copy of a large payload
+            status, data = frame.payload[:1], memoryview(frame.payload)[1:]
             if status == STATUS_REPLAY:
                 # counted even for stale ids: a duplicated request answers
                 # once normally and once as a replay, and the replay can

@@ -173,7 +173,7 @@ class ServingMetrics:
 
     def record_worker_attach(self, worker: int, segments: int,
                              verified: int) -> None:
-        """A worker process finished its ready handshake: it attached
+        """A worker process answered its init request: it attached
         ``segments`` shared-memory weight segments, ``verified`` of which
         passed their content checksum."""
         with self._lock:
