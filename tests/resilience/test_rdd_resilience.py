@@ -142,13 +142,13 @@ class TestLifecycleFixes:
 
     def test_shutdown_waits_for_inflight_tasks_by_default(self):
         sctx = SimSparkContext(parallelism=2)
-        started = threading.Event()
+        started = threading.Semaphore(0)
         release = threading.Event()
         finished = []
         completed_at_return = []
 
         def slow_task():
-            started.set()
+            started.release()
             release.wait(timeout=5.0)  # held in flight until released
             finished.append(True)
             return []
@@ -158,7 +158,10 @@ class TestLifecycleFixes:
             target=lambda: sctx.run_tasks([slow_task, slow_task])
         )
         runner.start()
-        started.wait(timeout=5.0)
+        # both tasks in flight: shutting down between the two submits
+        # would refuse the second one instead of waiting for it
+        for _ in range(2):
+            assert started.acquire(timeout=5.0)
 
         def do_shutdown():
             sctx.shutdown()  # wait=True: must block until tasks complete
