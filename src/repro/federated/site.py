@@ -23,6 +23,10 @@ from repro.tensor import ops as local_ops
 class FederatedSite:
     """One federated worker with local data and transfer accounting."""
 
+    #: In-process sites have no transport; a remote proxy names the one
+    #: that hosts it (:class:`repro.net.proc.RemoteSiteProxy`).
+    transport = None
+
     def __init__(self, address: str):
         self.address = address
         self._data: Dict[str, BasicTensorBlock] = {}
@@ -173,6 +177,20 @@ class FederatedSite:
             if name not in self._data:
                 raise FederatedError(f"site {self.address}: unknown tensor {name!r}")
             self._data[name] = block
+
+    def drop(self, names) -> int:
+        """Stop hosting ``names`` (unknown ones are skipped); returns how
+        many tensors were dropped.
+
+        Housekeeping, not a data-plane request: it counts no request and
+        works on a stopped site.
+        """
+        with self._lock:
+            hosted = [name for name in names if name in self._data]
+            for name in hosted:
+                del self._data[name]
+                del self._constraints[name]
+        return len(hosted)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FederatedSite({self.address}, tensors={sorted(self._data)})"

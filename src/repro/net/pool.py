@@ -9,6 +9,16 @@ workers.ShardedScoringService`.  Each worker is connected over a
 localhost TCP socket speaking the :mod:`repro.net.frames` protocol, with
 one request in flight per slot (the slot lock).
 
+Scatter/gather
+--------------
+A round trip is two phases — send a request (:meth:`WorkerPool.
+_send_request`), await its reply (:meth:`WorkerPool._await_reply`) — and
+:meth:`WorkerPool.scatter` runs a list of calls on top of them: it takes
+the slot locks in sorted order, sends to every distinct slot before it
+awaits any reply, and returns the replies in call order.  Calls that
+share a slot run one after the other.  :meth:`WorkerPool.round_trip` is
+the one-call case.
+
 Failure model
 -------------
 * **Liveness** — workers heartbeat on their socket; while awaiting a
@@ -21,10 +31,11 @@ Failure model
   recovery: the requests are deterministic, so the rebuilt state is
   bit-identical.  Slots with an empty log respawn bare.
 * **Idempotent resend** — the in-flight request is resent with the SAME
-  request id.  If the old incarnation had executed it and only the ACK
-  was lost (wedged worker, resend-on-timeout), the worker's dedup cache
-  replays the recorded response instead of double-executing
-  (``dedup_hits``).
+  request id (to the dead slot only: the other slots of a scatter keep
+  their requests, and their replies wait in their sockets meanwhile).
+  If the old incarnation had executed it and only the ACK was lost
+  (wedged worker, resend-on-timeout), the worker's dedup cache replays
+  the recorded response instead of double-executing (``dedup_hits``).
 * **Wedge** — a worker that is alive but silent past
   ``request_timeout_s`` gets one same-id resend, then is killed and
   recovered like any other death.
@@ -43,7 +54,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     FrameProtocolError,
@@ -92,6 +103,27 @@ class _Handle:
                 os.kill(self.pid, signal.SIGKILL)
             except ProcessLookupError:  # pragma: no cover - raced the death
                 pass
+
+
+class _Call:
+    """One request of a scatter: where it goes, its wire form, its id."""
+
+    __slots__ = ("position", "role", "index", "request", "body",
+                 "request_id", "point", "topic", "send_error")
+
+    def __init__(self, position: int, role: str, index: int, request: Tuple,
+                 body: bytes, request_id: int, point: Optional[str],
+                 topic: Optional[str]):
+        self.position = position
+        self.role = role
+        self.index = index
+        self.request = request
+        self.body = body
+        self.request_id = request_id
+        self.point = point
+        self.topic = topic
+        #: A failed send, kept for the await phase's death loop.
+        self.send_error: Optional[BaseException] = None
 
 
 class WorkerPool:
@@ -196,6 +228,14 @@ class WorkerPool:
             else:
                 self._log.get((role, index), {}).pop(topic, None)
 
+    def prune(self, role: str, index: int, topic: str,
+              keep: Callable[[Tuple], bool]) -> None:
+        """Drop the requests of one topic for which ``keep`` is false."""
+        with self._log_lock:
+            topics = self._log.get((role, index), {})
+            if topic in topics:
+                topics[topic] = [r for r in topics[topic] if keep(r)]
+
     def _next_id(self) -> int:
         with self._seq_lock:
             return next(self._seq)
@@ -298,60 +338,150 @@ class WorkerPool:
             self._bump("replayed_publications", len(replies))
         return replies
 
-    # --- the round trip ------------------------------------------------------
+    # --- scatter / gather ----------------------------------------------------
 
     def round_trip(self, role: str, index: int, request: Tuple,
                    point: Optional[str] = None, topic: Optional[str] = None,
                    on_respawn: Optional[Callable[[List], None]] = None):
-        """Send one request; survive worker deaths by respawn + resend.
+        """Send one request and await its reply: a one-call :meth:`scatter`."""
+        return self.scatter([(role, index, request, point, topic)], on_respawn)[0]
+
+    def scatter(self, calls: Sequence[Tuple],
+                on_respawn: Optional[Callable[[List], None]] = None) -> List:
+        """Run ``(role, index, request, point, topic)`` calls; replies in
+        call order.
+
+        Every distinct slot gets its first request before any reply is
+        awaited, so the workers compute at the same time.  Calls that land
+        on one slot keep the one-in-flight rule and run in call order: the
+        next goes out when the previous reply is in.  The slot locks are
+        taken in sorted order, so concurrent scatters cannot deadlock.
 
         ``point`` names the fault point that may SIGKILL the worker mid
         request.  A ``topic`` appends the request, once it succeeded, to
-        the slot's publication log.  ``on_respawn`` is called with the
-        replayed requests' replies after every respawn this round trip
-        triggers (on the calling thread, under the slot lock).
+        the slot's publication log.  A slot that dies is respawned and its
+        request resent with the same id (:meth:`_await_call`) while the
+        other slots' replies wait in their sockets; ``on_respawn`` is
+        called with the replayed requests' replies after every respawn (on
+        the calling thread, under the slot locks).
+
+        Every request that was sent is awaited even after a call failed —
+        an abandoned mutation would be missing from the publication log —
+        then the failure of the earliest call is raised.  Calls queued
+        behind a failure are not sent.
         """
-        body = serde.dumps(request)
-        request_id = self._next_id()
-        deaths = 0
-        with self._slot_locks[role][index]:
-            while True:
-                handle = self._ensure(role, index)
+        queues: Dict[Tuple[str, int], List[_Call]] = {}
+        for position, (role, index, request, point, topic) in enumerate(calls):
+            queues.setdefault((role, index), []).append(_Call(
+                position, role, index, request, serde.dumps(request),
+                self._next_id(), point, topic,
+            ))
+        replies: List = [None] * len(calls)
+        failed: Optional[Tuple[int, BaseException]] = None
+        held: List[threading.RLock] = []
+        slots = sorted(queues)
+        try:
+            for role, index in slots:
+                lock = self._slot_locks[role][index]
+                lock.acquire()
+                held.append(lock)
+            in_flight = [queues[slot].pop(0) for slot in slots]
+            for outstanding, call in enumerate(in_flight):
+                self._send_call(call, outstanding)
+            while in_flight:
+                call = in_flight.pop(0)
                 try:
-                    result = self._attempt(handle, request_id, body, point)
-                    break
-                except (TransportClosedError, FrameProtocolError) as exc:
-                    deaths += 1
-                    self._bump("worker_deaths")
-                    if deaths > self.respawn_limit:
-                        raise WorkerRespawnError(role, index, deaths) from exc
-                    replies = self._respawn(role, index)
-                    if on_respawn is not None:
-                        on_respawn(replies)
-                    self._bump("resent_requests")
-                    # loop: resend with the SAME request id (idempotent)
-            if topic is not None:
-                with self._log_lock:
-                    self._log.setdefault((role, index), {}) \
-                        .setdefault(topic, []).append(request)
-            return result
+                    replies[call.position] = self._await_call(call, on_respawn)
+                except Exception as exc:  # noqa: BLE001 - raised below, after the drain
+                    if failed is None or call.position < failed[0]:
+                        failed = (call.position, exc)
+                queue = queues[call.role, call.index]
+                if queue and failed is None:
+                    # the slot's next request goes out while the other
+                    # slots' replies are still outstanding
+                    in_flight.append(queue.pop(0))
+                    self._send_call(in_flight[-1], len(in_flight) - 1)
+        finally:
+            for lock in reversed(held):
+                lock.release()
+        if failed is not None:
+            raise failed[1]
+        return replies
+
+    def _send_call(self, call: "_Call", outstanding: int) -> None:
+        """Phase one: put the call's request on the wire.
+
+        A send that finds the worker dead (or kills it: the fault point)
+        is remembered on the call and handled by the death loop of
+        :meth:`_await_call`, so the other slots still get their requests.
+        """
+        if outstanding:
+            self._bump("scattered_requests")
+        try:
+            self._send_request(
+                self._ensure(call.role, call.index), call.request_id,
+                call.body, call.point,
+            )
+        except (TransportClosedError, FrameProtocolError) as exc:
+            call.send_error = exc
+
+    def _await_call(self, call: "_Call",
+                    on_respawn: Optional[Callable[[List], None]]):
+        """Phase two: the call's reply, surviving worker deaths by respawn
+        + publication replay + a resend with the SAME request id."""
+        role, index = call.role, call.index
+        deaths = 0
+        while True:
+            try:
+                if call.send_error is not None:
+                    error, call.send_error = call.send_error, None
+                    raise error
+                result = self._await_reply(
+                    self._pools[role][index], call.request_id, call.body
+                )
+                break
+            except (TransportClosedError, FrameProtocolError) as exc:
+                deaths += 1
+                self._bump("worker_deaths")
+                if deaths > self.respawn_limit:
+                    raise WorkerRespawnError(role, index, deaths) from exc
+                replies = self._respawn(role, index)
+                if on_respawn is not None:
+                    on_respawn(replies)
+                self._bump("resent_requests")
+                self._send_call(call, 0)  # idempotent: the same id
+        if call.topic is not None:
+            with self._log_lock:
+                self._log.setdefault((role, index), {}) \
+                    .setdefault(call.topic, []).append(call.request)
+        return result
 
     def _attempt(self, handle: _Handle, request_id: int, body: bytes,
                  point: Optional[str] = None):
         """One send + await on one incarnation; raises on worker death."""
+        self._send_request(handle, request_id, body, point)
+        return self._await_reply(handle, request_id, body)
+
+    def _send_request(self, handle: _Handle, request_id: int, body: bytes,
+                      point: Optional[str] = None) -> None:
+        """Send one REQ frame; ``point`` may SIGKILL the worker behind it."""
         self._send(handle, frames.REQ, request_id, body)
         if point is not None and self._resilience is not None \
                 and self._resilience.trip(point):
             # seeded chaos: SIGKILL the worker mid-request; the death loop
-            # above must make this invisible to the caller.  A fast worker
-            # can answer before the signal lands — that answer is dropped,
-            # so every injected kill is exactly one observed death
+            # must make this invisible to the caller.  A fast worker can
+            # answer before the signal lands — that answer is dropped, so
+            # every injected kill is exactly one observed death
             handle.kill()
             handle.process.join(timeout=5.0)
             raise TransportClosedError(
                 f"{handle.role} worker {handle.index} killed mid-request "
                 f"(injected at {point!r})"
             )
+
+    def _await_reply(self, handle: _Handle, request_id: int, body: bytes):
+        """Read frames until ``request_id`` is answered; raises on worker
+        death.  ``body`` is kept for the one lost-ACK resend."""
         grace_s = self.heartbeat_s * self.miss_grace
         deadline = time.monotonic() + self.request_timeout_s
         last_frame = time.monotonic()

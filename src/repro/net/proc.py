@@ -12,8 +12,10 @@ instead of mapping one process per address.
 This module adds what is specific to the two compute roles: the
 :class:`RemoteSiteProxy`/:class:`ProxyRegistry` RPC surface, the
 per-address publication topics (every ``put``, ``update``,
-``execute_and_store``, ``stop``/``start``, in order; task executors are
-stateless and respawn bare), and round-robin task placement.
+``execute_and_store``, ``stop``/``start``, in order, until a ``drop``
+prunes the stores it undoes; task executors are stateless and respawn
+bare), batched site calls (:meth:`ProcTransport.site_calls`: one request
+on every site worker at once), and round-robin task placement.
 
 The transport is a process-global singleton (:meth:`ProcTransport.default`)
 so repeated runs — the qa lattice, benches — reuse warm workers instead
@@ -26,12 +28,20 @@ import atexit
 import itertools
 import threading
 import zlib
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import FederatedError, TransportError
 from repro.federated.site import FederatedWorkerRegistry
 from repro.net.pool import WorkerPool
 from repro.net.transport import Transport
+
+
+#: Site methods whose requests are logged for replay into a respawn.
+#: ``drop`` is not: it *prunes* the log instead (:meth:`ProcTransport.
+#: site_calls`).
+_MUTATING = frozenset(
+    ("put", "execute_and_store", "update", "stop", "start")
+)
 
 
 class RemoteSiteProxy:
@@ -44,17 +54,21 @@ class RemoteSiteProxy:
     """
 
     def __init__(self, transport: "ProcTransport", address: str):
-        self._transport = transport
+        #: The transport hosting the site; requests to proxies that share
+        #: one can be batched through :meth:`ProcTransport.site_calls`.
+        self.transport = transport
         self.address = address
 
-    def _call(self, method: str, *args, mutate: bool = False, **kwargs):
-        return self._transport.site_call(
-            self.address, method, args, kwargs, mutate=mutate
-        )
+    def request(self, method: str, args: Tuple = ()) -> Tuple:
+        """One :meth:`ProcTransport.site_calls` entry for this site."""
+        return (self.address, method, args, {}, method in _MUTATING)
+
+    def _call(self, method: str, *args):
+        return self.transport.site_call(*self.request(method, args))
 
     # hosting / reads
     def put(self, name, block, constraint=None) -> None:
-        self._call("put", name, block, constraint, mutate=True)
+        self._call("put", name, block, constraint)
 
     def has(self, name) -> bool:
         return self._call("has", name)
@@ -79,19 +93,21 @@ class RemoteSiteProxy:
 
     def execute_and_store(self, name, out, operation, payload_bytes=0, flops=0):
         return self._call(
-            "execute_and_store", name, out, operation, payload_bytes, flops,
-            mutate=True,
+            "execute_and_store", name, out, operation, payload_bytes, flops
         )
 
     def update(self, name, block) -> None:
-        self._call("update", name, block, mutate=True)
+        self._call("update", name, block)
+
+    def drop(self, names) -> int:
+        return self._call("drop", names)
 
     # lifecycle (logged so a respawned incarnation lands in the same state)
     def stop(self) -> None:
-        self._call("stop", mutate=True)
+        self._call("stop")
 
     def start(self) -> None:
-        self._call("start", mutate=True)
+        self._call("start")
 
     @property
     def is_down(self) -> bool:
@@ -104,6 +120,14 @@ class RemoteSiteProxy:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RemoteSiteProxy({self.address})"
+
+
+def _stores_into(request: Tuple, names) -> bool:
+    """Whether a logged request is an ``execute_and_store`` into ``names``."""
+    return (
+        request[0] == "site" and request[2] == "execute_and_store"
+        and request[3][1] in names
+    )
 
 
 class ProxyRegistry(FederatedWorkerRegistry):
@@ -218,11 +242,32 @@ class ProcTransport(WorkerPool, Transport):
     def site_call(self, address: str, method: str, args: Tuple = (),
                   kwargs: Optional[dict] = None, mutate: bool = False):
         """One RPC to the worker hosting ``address``; log mutations."""
-        return self.round_trip(
-            "fed", self._owner(address),
-            ("site", address, method, args, kwargs or {}), "fed.worker",
-            topic=address if mutate else None,
-        )
+        return self.site_calls([(address, method, args, kwargs, mutate)])[0]
+
+    def site_calls(self, calls: Sequence[Tuple]) -> List:
+        """Scatter ``(address, method, args, kwargs, mutate)`` site RPCs
+        (:meth:`WorkerPool.scatter`); replies in call order.
+
+        A ``drop`` first prunes the address's topic of the
+        ``execute_and_store`` requests that created the dropped names —
+        closure and payload included, they would otherwise be replayed
+        into every respawn.  Pruning before sending keeps a death during
+        the drop consistent: the replay no longer creates the names.
+        """
+        scattered = []
+        for address, method, args, kwargs, mutate in calls:
+            owner = self._owner(address)
+            if method == "drop":
+                names = frozenset(args[0])
+                self.prune(
+                    "fed", owner, address,
+                    lambda request, names=names: not _stores_into(request, names),
+                )
+            scattered.append((
+                "fed", owner, ("site", address, method, args, kwargs or {}),
+                "fed.worker", address if mutate else None,
+            ))
+        return self.scatter(scattered)
 
     def registry_call(self, address: str, method: str, log: bool = True) -> None:
         """A registry-level RPC (site creation/removal) for one address."""

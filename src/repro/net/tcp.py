@@ -32,11 +32,13 @@ link down       process alive, connection severed: redial with
                 request is never executed twice
 ==============  =========================================================
 
-:meth:`TcpTransport._attempt` implements the link-down path as a repair
-loop *around* the proc attempt: every EOF/torn-frame failure first tries
-:meth:`_reconnect`; only when the peer is provably dead (process exited,
-redial budget exhausted, or a different pid answered) does the error
-propagate to the proc death loop, which respawns and replays.  Worker
+:meth:`TcpTransport._repair_link` implements the link-down path around
+both phases of a request (:meth:`_send_request`, :meth:`_await_reply`):
+every EOF/torn-frame failure first tries :meth:`_reconnect`; only when
+the peer is provably dead (process exited, redial budget exhausted, or a
+different pid answered) does the error propagate to the pool's death
+loop, which respawns and replays.  During a scatter the repair of one
+link leaves the other slots' replies waiting in their sockets.  Worker
 state survives partitions because the tcp worker's registry and dedup
 cache live across connections (:func:`repro.net.worker.tcp_worker_main`).
 
@@ -63,13 +65,15 @@ from repro.resilience.retry import RetryPolicy
 class _TcpHandle(_Handle):
     """A worker incarnation plus the address it listens on."""
 
-    __slots__ = ("host", "port")
+    __slots__ = ("host", "port", "repairs")
 
     def __init__(self, role: str, index: int, incarnation: int, process,
                  sock: socket.socket, pid: int, host: str, port: int):
         super().__init__(role, index, incarnation, process, sock, pid)
         self.host = host
         self.port = port
+        #: Link repairs since the last reply arrived on this incarnation.
+        self.repairs = 0
 
 
 class TcpTransport(ProcTransport):
@@ -79,7 +83,7 @@ class TcpTransport(ProcTransport):
 
     _instance: Optional["TcpTransport"] = None
 
-    #: Ceiling on link repairs for ONE attempt, so a link that dies
+    #: Ceiling on link repairs for ONE request, so a link that dies
     #: instantly every time cannot spin forever (each repair already
     #: burned a full reconnect budget).
     MAX_LINK_REPAIRS = 8
@@ -211,23 +215,45 @@ class TcpTransport(ProcTransport):
             self._bump("reconnects")
             return True
 
-    # --- the attempt, wrapped in link repair ---------------------------------
+    # --- both phases of a request, wrapped in link repair ---------------------
 
-    def _attempt(self, handle: _TcpHandle, request_id: int, body: bytes,
-                 point: Optional[str] = None):
-        repairs = 0
+    def _send_request(self, handle: _TcpHandle, request_id: int, body: bytes,
+                      point: Optional[str] = None) -> None:
+        try:
+            super()._send_request(handle, request_id, body, point)
+        except (TransportClosedError, FrameProtocolError) as exc:
+            self._repair_link(handle, request_id, body, exc)
+
+    def _await_reply(self, handle: _TcpHandle, request_id: int, body: bytes):
         while True:
             try:
-                return super()._attempt(handle, request_id, body, point)
-            except (TransportClosedError, FrameProtocolError):
-                repairs += 1
-                if repairs > self.MAX_LINK_REPAIRS \
-                        or not self._reconnect(handle):
-                    raise  # peer dead: the proc death loop respawns + replays
-                # link repaired: resend the SAME id; a request that
-                # executed during the partition is answered from the
-                # dedup cache (STATUS_REPLAY), never re-executed
-                point = None  # a kill fault gets one shot per attempt
+                reply = super()._await_reply(handle, request_id, body)
+            except (TransportClosedError, FrameProtocolError) as exc:
+                self._repair_link(handle, request_id, body, exc)
+                continue
+            handle.repairs = 0
+            return reply
+
+    def _repair_link(self, handle: _TcpHandle, request_id: int, body: bytes,
+                     error: Exception) -> None:
+        """Reconnect, then resend the SAME id; a request that executed
+        during the partition is answered from the worker's dedup cache
+        (STATUS_REPLAY), never re-executed.
+
+        Raises ``error`` when the peer is dead or the request's repair
+        budget is spent: the pool's death loop respawns + replays.  The
+        resend carries no fault point — a kill fault gets one shot per
+        request.
+        """
+        while True:
+            handle.repairs += 1
+            if handle.repairs > self.MAX_LINK_REPAIRS \
+                    or not self._reconnect(handle):
+                raise error
+            try:
+                return super()._send_request(handle, request_id, body)
+            except (TransportClosedError, FrameProtocolError) as exc:
+                error = exc
 
     def snapshot(self) -> dict:
         snap = super().snapshot()

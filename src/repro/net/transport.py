@@ -34,6 +34,8 @@ STAT_KEYS = (
     "resent_requests",
     "dedup_hits",
     "replayed_publications",
+    # requests sent while another slot's reply was still outstanding
+    "scattered_requests",
     # tcp/chaos link lifecycle (always-zero under inproc/proc)
     "reconnects",
     "partitions",

@@ -112,6 +112,9 @@ class ExecutionContext:
         }
         self._seed_state = (config.random_seed * 2654435761 + 1) % (2**63)
         self._spark = None
+        #: Partitions of every ``_fedtmp*`` intermediate this script stored
+        #: at federated sites (shared with child frames); dropped on close.
+        self._site_temps: List = []
 
     # --- per-instruction hook flag ------------------------------------------------
 
@@ -204,6 +207,38 @@ class ExecutionContext:
             if name.startswith("_t") or name not in live:
                 self.remove(name)
 
+    def set_federated_temp(self, name: str, federated) -> None:
+        """Bind the site-resident result of a federated operation and
+        remember its ``_fedtmp*`` partitions for :meth:`close`."""
+        self._site_temps.extend(federated.partitions)
+        self.set(name, MatrixObject.from_federated(federated))
+
+    def _drop_site_temps(self, protected) -> None:
+        """Tell the sites to stop hosting this script's intermediates.
+
+        A site where a ``keep`` binding still references one of them keeps
+        them all: later intermediates are computed from earlier ones, so
+        the site's replay log has to stay whole.
+        """
+        from repro.errors import FederatedError, TransportError
+        from repro.federated.instructions import channel_of, drop_site_temps
+
+        mine = {id(part) for part in self._site_temps}
+        held = set()
+        for name in protected:
+            federated = getattr(self.variables.get(name), "federated", None)
+            if federated is not None:
+                held.update(
+                    id(part.site) for part in federated.partitions
+                    if id(part) in mine
+                )
+        temps = [p for p in self._site_temps if id(p.site) not in held]
+        self._site_temps.clear()
+        try:
+            drop_site_temps(temps, channel_of(self))
+        except (FederatedError, TransportError, OSError):
+            pass  # best effort: e.g. the transport was closed first
+
     def close(self, keep=()) -> None:
         """Eagerly release every bound payload except the ``keep`` names.
 
@@ -214,6 +249,8 @@ class ExecutionContext:
         unbound but their payloads stay alive.
         """
         protected = set(keep)
+        if self._site_temps:
+            self._drop_site_temps(protected)
         for name in list(self.variables):
             value = self.variables.pop(name)
             if name in protected:
@@ -248,6 +285,7 @@ class ExecutionContext:
         frame.prints = self.prints  # shared output stream
         frame._seed_state = self._next_seed_state()
         frame._spark = self._spark
+        frame._site_temps = self._site_temps
         return frame
 
     # --- services -----------------------------------------------------------------------

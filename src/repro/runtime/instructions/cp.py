@@ -178,7 +178,7 @@ class BinaryInstruction(Instruction):
                 self.opcode, left.federated, self.block_in(1, ctx),
                 channel=channel,
             )
-        ctx.set(self.output, MatrixObject.from_federated(result))
+        ctx.set_federated_temp(self.output, result)
 
 
 class UnaryInstruction(Instruction):
@@ -386,7 +386,7 @@ class MatMultInstruction(Instruction):
             return
         right = self.block_in(1, ctx)
         result = fed_ops.fed_matmult(fed, right, channel=channel)
-        ctx.set(self.output, MatrixObject.from_federated(result))
+        ctx.set_federated_temp(self.output, result)
 
 
 class ReorgInstruction(Instruction):

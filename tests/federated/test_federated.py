@@ -198,6 +198,31 @@ class TestDMLIntegration:
         expected = np.linalg.solve(data.T @ data + 1e-7 * np.eye(5), data.T @ y)
         np.testing.assert_allclose(result.matrix("B"), expected, atol=1e-9)
 
+    @pytest.mark.parametrize("keep, hosted_after", [((), 1), (("Z",), 3)])
+    def test_close_drops_the_scripts_site_intermediates(
+        self, registry, keep, hosted_after
+    ):
+        self._setup_sites(registry, np.random.default_rng(9).random((100, 5)))
+        source = """
+        Xf = federated(addresses=list("localhost:7001/X", "localhost:7002/X"),
+                       ranges=list(R1, R2))
+        Z = (Xf %*% B) * 2
+        """
+        result = MLContext(ReproConfig()).execute(
+            source,
+            inputs={"B": np.ones((5, 2)),
+                    "R1": np.asarray([[0.0, 0.0, 60.0, 5.0]]),
+                    "R2": np.asarray([[60.0, 0.0, 100.0, 5.0]])},
+            outputs=["Z"],
+        )
+        sites = [registry.site(f"localhost:{port}") for port in (7001, 7002)]
+        assert [len(site._data) for site in sites] == [3, 3]  # X + 2 temps
+        # a kept binding that still points at an intermediate keeps its
+        # site's intermediates; the published X is never dropped
+        result._ctx.close(keep=keep)
+        assert [len(site._data) for site in sites] == [hosted_after] * 2
+        assert all(site.has("X") for site in sites)
+
     def test_unknown_site_rejected(self, registry):
         source = """
         Xf = federated(addresses=list("nowhere:1/X"), ranges=list(R1))

@@ -29,13 +29,31 @@ class TestCsvMatrix:
         back = csv_io.read_csv_matrix(path)
         np.testing.assert_allclose(back.to_numpy(), data)
 
-    def test_multithreaded_parse_matches_single(self, tmp_path):
-        data = np.random.default_rng(1).random((5000, 8))
+    def test_parse_is_one_call_and_bit_exact(self, tmp_path, monkeypatch):
+        # num_threads used to split the parse over a thread pool, which was
+        # slower than one call (no NumPy text parser releases the GIL)
+        import concurrent.futures
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("the CSV reader started a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+        data = np.random.default_rng(1).standard_normal((5000, 8))
         path = str(tmp_path / "big.csv")
         csv_io.write_csv_matrix(BasicTensorBlock.from_numpy(data), path)
-        single = csv_io.read_csv_matrix(path, num_threads=1)
-        multi = csv_io.read_csv_matrix(path, num_threads=4)
-        np.testing.assert_array_equal(single.to_numpy(), multi.to_numpy())
+        for num_threads in (1, 4):
+            back = csv_io.read_csv_matrix(path, num_threads=num_threads)
+            np.testing.assert_array_equal(back.to_numpy(), data)
+
+    def test_trailing_separators_take_the_fallback_bit_exactly(self, tmp_path):
+        # lines ending in a separator put empty fields into the flattened
+        # text, which np.fromstring rejects: the tokenizer parses instead
+        data = np.random.default_rng(2).standard_normal((300, 4))
+        lines = [",".join("%.17g" % value for value in row) for row in data]
+        path = tmp_path / "trailing.csv"
+        path.write_text(lines[0] + "\n" + "".join(f"{line},\n" for line in lines[1:]))
+        back = csv_io.read_csv_matrix(str(path), num_threads=2)
+        np.testing.assert_array_equal(back.to_numpy(), data)
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
