@@ -1,64 +1,29 @@
 """Schema detection for raw frames (paper section 3.2).
 
-``detect_schema`` inspects string-typed frame columns and infers the
-tightest value type (boolean < int < double < string), returned as a
-1 x ncol frame of type names — the shape SystemDS' ``detectSchema``
-builtin uses, so the result can drive ``applySchema``-style casts.
+``detect_schema`` infers the tightest value type (boolean < int < double
+< string) of every string-typed frame column, returned as a 1 x ncol
+frame of type names (``ValueType`` member names) — the shape SystemDS'
+``detectSchema`` builtin uses, so the result can drive ``applySchema``-style
+casts.  Both functions type and convert cells with the CSV frame reader's
+own column functions and NA strings, so a column gets the same type from
+a file as from a frame.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.io.csv import convert_column, infer_column
 from repro.tensor import Frame
 from repro.types import ValueType
-
-_TYPE_NAMES = {
-    ValueType.BOOLEAN: "BOOLEAN",
-    ValueType.INT32: "INT32",
-    ValueType.INT64: "INT64",
-    ValueType.FP32: "FP32",
-    ValueType.FP64: "FP64",
-    ValueType.STRING: "STRING",
-}
-
-
-def _infer_string_column(column: np.ndarray) -> ValueType:
-    is_bool = True
-    is_int = True
-    is_float = True
-    for value in column:
-        text = str(value).strip()
-        if text == "":
-            continue
-        if text in ("TRUE", "FALSE", "true", "false"):
-            is_int = is_float = False
-            continue
-        is_bool = False
-        try:
-            number = float(text)
-        except ValueError:
-            return ValueType.STRING
-        if not number.is_integer() or "." in text or "e" in text.lower():
-            is_int = False
-    if is_bool:
-        return ValueType.BOOLEAN
-    if is_int:
-        return ValueType.INT64
-    if is_float:
-        return ValueType.FP64
-    return ValueType.STRING
 
 
 def detect_schema(frame: Frame) -> Frame:
     """The inferred schema of a frame as a 1 x ncol frame of type names."""
-    detected = []
-    for column, declared in zip(frame.columns, frame.schema):
-        if declared == ValueType.STRING:
-            detected.append(_infer_string_column(column))
-        else:
-            detected.append(declared)
-    names = [_TYPE_NAMES[vt] for vt in detected]
+    names = [
+        (infer_column(column)[0] if declared == ValueType.STRING else declared).name
+        for column, declared in zip(frame.columns, frame.schema)
+    ]
     return Frame(
         [np.asarray([name], dtype=object) for name in names],
         [ValueType.STRING] * len(names),
@@ -68,22 +33,13 @@ def detect_schema(frame: Frame) -> Frame:
 
 def apply_schema(frame: Frame, schema_frame: Frame) -> Frame:
     """Cast a frame's columns to the types named in a detectSchema result."""
-    reverse = {name: vt for vt, name in _TYPE_NAMES.items()}
     columns = []
     schema = []
-    for j, column in enumerate(frame.columns):
+    for j, (column, name) in enumerate(zip(frame.columns, frame.names)):
         type_name = str(schema_frame.get(0, j)).upper()
-        vt = reverse.get(type_name)
-        if vt is None:
+        vt = ValueType.__members__.get(type_name)
+        if vt is None or vt == ValueType.UNKNOWN:
             raise ValueError(f"unknown schema type name {type_name!r}")
-        if vt == ValueType.BOOLEAN:
-            converted = np.asarray(
-                [str(v).strip().lower() == "true" for v in column]
-            )
-        elif vt == ValueType.STRING:
-            converted = column.astype(object)
-        else:
-            converted = np.asarray([float(str(v)) for v in column]).astype(vt.numpy_dtype)
-        columns.append(converted)
+        columns.append(convert_column(column, vt, name))
         schema.append(vt)
     return Frame(columns, schema, list(frame.names))

@@ -21,7 +21,8 @@ are an error (no silent coercion).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -129,22 +130,16 @@ def _encode_columns(frame: Frame, spec: TransformSpec, meta: dict, fit: bool):
 
 
 def _recode(column: np.ndarray, name: str, meta: dict, fit: bool) -> np.ndarray:
-    """Map distinct values to 1-based dense codes."""
+    """Map distinct values to 1-based dense codes (0: unseen at fit time)."""
+    keys = [str(v) for v in column]
     if fit:
-        distinct = sorted({str(v) for v in column})
-        mapping = {value: code + 1 for code, value in enumerate(distinct)}
+        mapping = {value: code + 1 for code, value in enumerate(sorted(set(keys)))}
         meta["columns"].setdefault(name, {})["recode"] = mapping
     else:
         mapping = meta["columns"].get(name, {}).get("recode")
         if mapping is None:
             raise ValidationError(f"no fitted recode map for column {name!r}")
-    codes = np.zeros(len(column), dtype=np.int64)
-    for i, value in enumerate(column):
-        code = mapping.get(str(value))
-        if code is None:
-            code = 0  # unseen category
-        codes[i] = code
-    return codes
+    return np.fromiter(map(mapping.get, keys, repeat(0)), np.int64, len(keys))
 
 
 def _dummy_encode(codes: np.ndarray, name: str, meta: dict, fit: bool) -> np.ndarray:

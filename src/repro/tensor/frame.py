@@ -43,10 +43,9 @@ class Frame:
 
     @staticmethod
     def _coerce(column: np.ndarray, value_type: ValueType) -> np.ndarray:
-        column = np.asarray(column)
-        if value_type == ValueType.STRING:
-            return column.astype(object)
-        return column.astype(value_type.numpy_dtype)
+        """The column in its type's dtype; an array already in it is kept, not copied."""
+        dtype = object if value_type == ValueType.STRING else value_type.numpy_dtype
+        return np.asarray(column).astype(dtype, copy=False)
 
     # --- constructors -----------------------------------------------------------
 
@@ -94,10 +93,14 @@ class Frame:
         return (self.num_rows, self.num_cols)
 
     def memory_size(self) -> int:
+        """Bytes of the numeric columns plus length + 8 per string cell."""
         total = 0
         for column, vt in zip(self.columns, self.schema):
             if vt == ValueType.STRING:
-                total += sum(len(str(v)) + 8 for v in column)
+                try:  # joining str cells is ~3x faster than calling str() on each
+                    total += len("".join(column.tolist())) + 8 * len(column)
+                except TypeError:  # a cell that is not a str counts as its str()
+                    total += sum(map(len, map(str, column))) + 8 * len(column)
             else:
                 total += column.nbytes
         return total
@@ -136,7 +139,7 @@ class Frame:
         )
 
     def slice_rows(self, start: int, stop: int) -> "Frame":
-        return Frame([col[start:stop] for col in self.columns], self.schema, self.names)
+        return Frame([col[start:stop].copy() for col in self.columns], self.schema, self.names)
 
     def filter_rows(self, mask: np.ndarray) -> "Frame":
         mask = np.asarray(mask, dtype=bool)
@@ -154,7 +157,8 @@ class Frame:
         names = self.names + [
             name if name not in self.names else f"{name}_r" for name in other.names
         ]
-        return Frame(self.columns + other.columns, self.schema + other.schema, names)
+        columns = [col.copy() for col in self.columns + other.columns]
+        return Frame(columns, self.schema + other.schema, names)
 
     def copy(self) -> "Frame":
         return Frame([col.copy() for col in self.columns], self.schema, self.names)
@@ -164,16 +168,13 @@ class Frame:
     def to_matrix(self) -> BasicTensorBlock:
         """All-numeric frames as an FP64 matrix block."""
         data = np.empty((self.num_rows, self.num_cols), dtype=np.float64)
-        for j, (column, vt) in enumerate(zip(self.columns, self.schema)):
-            if vt == ValueType.STRING:
-                try:
-                    data[:, j] = column.astype(np.float64)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"column {self.names[j]!r} is not numeric; apply a transform first"
-                    ) from None
-            else:
+        for j, column in enumerate(self.columns):
+            try:  # only a string column can fail
                 data[:, j] = column.astype(np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"column {self.names[j]!r} is not numeric; apply a transform first"
+                ) from None
         return BasicTensorBlock.from_numpy(data)
 
     @classmethod

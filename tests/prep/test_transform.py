@@ -170,6 +170,19 @@ class TestSchemaDetection:
         assert casted.schema == [ValueType.INT64]
         np.testing.assert_array_equal(casted.column("a"), [1, 2])
 
+    def test_detect_schema_agrees_with_the_csv_reader(self, tmp_path):
+        from repro.io.csv import read_csv_frame
+
+        path = tmp_path / "na.csv"
+        path.write_text("x,b\nNA,TRUE\n3,NA\nnull,false\n")
+        inferred = read_csv_frame(str(path))
+        as_strings = read_csv_frame(str(path), schema=["string", "string"])
+        assert inferred.schema == [ValueType.FP64, ValueType.STRING]
+        assert detect_schema(as_strings).row(0) == ["FP64", "STRING"]
+        casted = apply_schema(as_strings, detect_schema(as_strings))
+        assert casted.schema == inferred.schema
+        np.testing.assert_array_equal(casted.column("x"), inferred.column("x"))
+
     def test_non_string_columns_passthrough(self):
         frame = Frame.from_dict({"x": [1.5, 2.5]})
         schema = detect_schema(frame)

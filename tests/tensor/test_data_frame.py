@@ -133,6 +133,19 @@ class TestFrame:
         filtered = f.filter_rows(np.asarray([True, False, True, False]))
         np.testing.assert_array_equal(filtered.column("age"), [25, 41])
 
+    def test_derived_frames_own_their_columns(self):
+        f = self._frame()
+        for derived in (f.slice_rows(0, 2), f.cbind(f.select_columns(["age"]))):
+            derived.set(0, 0, 99)
+            derived.set(0, 1, "salzburg")
+        assert f.row(0) == [25, "graz", 30.0]
+
+    def test_memory_size_counts_string_cells_by_their_text(self):
+        for cells in (["ab", "7"], ["ab", 7]):  # a non-str cell counts as its str()
+            f = Frame([np.asarray([1.0, 2.0]), np.asarray(cells, dtype=object)],
+                      [VT.FP64, VT.STRING])
+            assert f.memory_size() == 16 + (2 + 8) + (1 + 8)
+
     def test_rbind(self):
         f = self._frame()
         combined = f.rbind(f)
