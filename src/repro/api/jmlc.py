@@ -62,7 +62,7 @@ class PreparedScript:
         self._reuse = reuse_cache
         if self._reuse is None and self.config.reuse_enabled:
             self._reuse = ReuseCache(
-                self.config.reuse_cache_size, self.config.partial_reuse_enabled
+                allow_partial=self.config.partial_reuse_enabled
             )
         # shared buffer pool for all executions (serving); None means each
         # execution context creates its own private pool

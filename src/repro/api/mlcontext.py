@@ -106,7 +106,7 @@ class MLContext:
         self._reuse: Optional[ReuseCache] = None
         if self.config.reuse_enabled:
             self._reuse = ReuseCache(
-                self.config.reuse_cache_size, self.config.partial_reuse_enabled
+                allow_partial=self.config.partial_reuse_enabled
             )
         self._stats = None
         if self.config.enable_stats:

@@ -8,14 +8,6 @@ booleans, or strings).  ``--stats`` prints runtime metrics after execution,
 ``--explain`` the compiled runtime program, ``--lineage`` enables lineage
 tracing and ``--reuse`` lineage-based reuse of intermediates.
 
-``--serve-bench`` runs the concurrent model-scoring smoke bench instead of
-a script (micro-batched vs. one-at-a-time throughput; see
-``repro.serving.bench``), optionally writing ``BENCH_serving.json`` via
-``--serve-out``.  ``--serve-procs 1,2,4`` instead measures the
-multi-process data plane (OS worker processes scoring against
-shared-memory weights) as a scaling curve, and ``--serve-kill-worker``
-adds a SIGKILL-one-worker chaos run with recovery counters.
-
 ``--checkpoint-dir DIR`` snapshots live variables at loop/top-level block
 boundaries (``--checkpoint-every N`` thins the cadence); after a crash,
 ``--resume`` restores the manifest and fast-forwards the program to the
@@ -64,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-dml",
         description="Execute a DML script on the repro SystemDS reproduction.",
     )
-    parser.add_argument("script", nargs="?", default=None,
-                        help="path to the .dml script")
+    parser.add_argument("script", help="path to the .dml script")
     parser.add_argument("--args", nargs="*", metavar="NAME=VALUE",
                         help="scalar input bindings")
     parser.add_argument("--stats", action="store_true",
@@ -138,25 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="let eligible kernels execute directly on "
                           "still-compressed restored blocks (results match "
                           "within float tolerance, not bitwise)")
-    serving = parser.add_argument_group("model serving")
-    serving.add_argument("--serve-bench", action="store_true",
-                         help="run the concurrent scoring smoke bench")
-    serving.add_argument("--serve-requests", type=int, default=1000,
-                         help="serve-bench burst size")
-    serving.add_argument("--serve-workers", type=int, default=4,
-                         help="serve-bench worker threads")
-    serving.add_argument("--serve-batch", type=int, default=32,
-                         help="serve-bench micro-batch size cap")
-    serving.add_argument("--serve-procs", metavar="N[,N...]", default=None,
-                         help="run the multi-process serving scaling bench "
-                              "over these worker-process counts (e.g. "
-                              "1,2,4,8); workers score against shared-memory "
-                              "weights")
-    serving.add_argument("--serve-kill-worker", action="store_true",
-                         help="add a kill-one-worker chaos run to the "
-                              "scaling bench (SIGKILL mid-batch, seeded)")
-    serving.add_argument("--serve-out", metavar="PATH", default=None,
-                         help="write the serve-bench JSON report")
     resilience = parser.add_argument_group("resilience / fault injection")
     resilience.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
@@ -190,23 +162,6 @@ def main(argv=None) -> int:
     """Entry point of ``repro-dml``; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.serve_bench or args.serve_procs or args.serve_kill_worker:
-        from repro.serving.bench import main as serve_bench_main
-
-        bench_args = [
-            "--requests", str(args.serve_requests),
-            "--workers", str(args.serve_workers),
-            "--max-batch", str(args.serve_batch),
-        ]
-        if args.serve_procs:
-            bench_args += ["--procs", args.serve_procs]
-        if args.serve_kill_worker:
-            bench_args += ["--kill-worker"]
-        if args.serve_out:
-            bench_args += ["--out", args.serve_out]
-        return serve_bench_main(bench_args)
-    if args.script is None:
-        parser.error("a script path is required unless --serve-bench is given")
     overrides = {}
     if args.mem > 0:
         overrides["memory_budget"] = args.mem * 1024 * 1024
@@ -217,7 +172,6 @@ def main(argv=None) -> int:
         overrides["reuse_policy"] = args.reuse
     if args.stats:
         overrides["enable_stats"] = True
-        overrides["stats_top_k"] = max(args.stats_top_k, 1)
     if args.no_rewrites:
         overrides["enable_rewrites"] = False
         overrides["enable_cse"] = False
@@ -319,9 +273,10 @@ def main(argv=None) -> int:
         print(f"-- execution time: {elapsed:.3f}s", file=sys.stderr)
         for key, value in sorted(results.metrics.items()):
             print(f"-- {key}: {value}", file=sys.stderr)
-        print(registry.report(top_k=config.stats_top_k), file=sys.stderr)
+        top_k = max(args.stats_top_k, 1)
+        print(registry.report(top_k=top_k), file=sys.stderr)
         if args.stats_json:
-            snapshot = registry.snapshot(config.stats_top_k)
+            snapshot = registry.snapshot(top_k)
             with open(args.stats_json, "w", encoding="utf-8") as out:
                 out.write(obs.render_json(snapshot))
     return 0

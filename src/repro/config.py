@@ -46,10 +46,6 @@ class ReproConfig:
     #: compression ratio does not pay.  The codec is bit-exact, so this is
     #: on by default and safe under bitwise lattice configs.
     spill_compress: bool = True
-    #: Minimum dense-bytes / compressed-bytes ratio for a compressed
-    #: spill to be worth it (below this the raw pickle wins on restore
-    #: latency).
-    spill_compress_min_ratio: float = 1.2
     #: Background prefetch/writeback thread: the interpreter's lookahead
     #: over each basic block's reads warms evicted entries before ``get``
     #: needs them, and dirty entries are flushed off the eviction hot path.
@@ -64,8 +60,6 @@ class ReproConfig:
     #: Degree of parallelism for multithreaded kernels, parfor, and the
     #: distributed scheduler.  Defaults to the machine's CPU count.
     parallelism: int = dataclasses.field(default_factory=lambda: os.cpu_count() or 4)
-    #: Number of partitions for the SimRDD backend (0 = use parallelism).
-    default_partitions: int = 0
 
     # --- distributed blocking ----------------------------------------------
     #: Side length of square matrix blocks (paper: 1024).  Tests shrink this.
@@ -112,8 +106,6 @@ class ReproConfig:
     enable_lineage_dedup: bool = True
     #: Reuse policy: "none", "full", or "full_partial".
     reuse_policy: str = "none"
-    #: Budget (bytes) of the lineage reuse cache.
-    reuse_cache_size: int = 512 * 1024**2
 
     # --- trace compilation ----------------------------------------------------
     #: Fuse hot basic blocks into compiled traces (``repro-dml --no-trace``
@@ -128,8 +120,6 @@ class ReproConfig:
     #: Per-instruction profiling + unified stats (``repro-dml --stats``).
     #: Off by default: the interpreter keeps a zero-overhead fast path.
     enable_stats: bool = False
-    #: Rows of the heavy-hitter instruction table in stats reports.
-    stats_top_k: int = 10
 
     # --- resilience / fault injection -----------------------------------------
     #: Master switch for the tolerance machinery (retries, backoff, breaker,
@@ -146,8 +136,6 @@ class ReproConfig:
     #: First backoff delay (ms); doubles per retry up to the cap.
     retry_backoff_ms: float = 10.0
     retry_backoff_max_ms: float = 200.0
-    #: Deadline for one federated site request (None disables).
-    federated_timeout_s: Optional[float] = 5.0
     #: Consecutive exhausted requests before a site is blacklisted.
     blacklist_after: int = 3
     #: How long a blacklisted site is skipped before being retried.
@@ -193,8 +181,6 @@ class ReproConfig:
         if (self.bufferpool_budget_override is not None
                 and self.bufferpool_budget_override <= 0):
             raise ValueError("bufferpool_budget_override must be positive")
-        if self.spill_compress_min_ratio < 1.0:
-            raise ValueError("spill_compress_min_ratio must be >= 1.0")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.block_size < 1:

@@ -39,10 +39,8 @@ class SimSparkContext:
     (``rdd.cache_loss``); without one, scheduling is a plain direct call.
     """
 
-    def __init__(self, parallelism: int = 4, default_partitions: int = 0,
-                 resilience=None, transport=None):
+    def __init__(self, parallelism: int = 4, resilience=None, transport=None):
         self.parallelism = max(1, parallelism)
-        self.default_partitions = default_partitions or self.parallelism
         self.resilience = resilience
         #: Optional :class:`repro.net.Transport`; None (or the in-proc
         #: transport) keeps task execution a direct call on the pool thread,
@@ -62,7 +60,7 @@ class SimSparkContext:
 
     def parallelize(self, items: Iterable, num_partitions: int = 0) -> "SimRDD":
         items = list(items)
-        parts = num_partitions or self.default_partitions
+        parts = num_partitions or self.parallelism
         parts = max(1, min(parts, max(len(items), 1)))
         partitions = [items[i::parts] for i in range(parts)]
         return SimRDD(self, lambda: partitions, parts)

@@ -25,10 +25,15 @@ from repro.lineage.item import LineageItem
 from repro.tensor import BasicTensorBlock
 
 
+#: Budget (bytes) of a lineage reuse cache.
+REUSE_CACHE_BYTES = 512 * 1024**2
+
+
 class ReuseCache:
     """LRU cache of intermediates keyed by lineage."""
 
-    def __init__(self, budget_bytes: int, allow_partial: bool = True):
+    def __init__(self, budget_bytes: int = REUSE_CACHE_BYTES,
+                 allow_partial: bool = True):
         self.budget = budget_bytes
         self.allow_partial = allow_partial
         self._entries: "collections.OrderedDict[bytes, tuple]" = collections.OrderedDict()

@@ -88,7 +88,6 @@ class ResilienceManager:
                 backoff_ms=config.retry_backoff_ms,
                 max_backoff_ms=config.retry_backoff_max_ms,
             ),
-            federated_timeout_s=config.federated_timeout_s,
             blacklist_after=config.blacklist_after,
             blacklist_cooldown_s=config.blacklist_cooldown_s,
             breaker_threshold=config.breaker_threshold,

@@ -60,6 +60,10 @@ SPILL_PREFIX = "repro-spill-"
 #: Blocks smaller than this (cells) are never worth compressing.
 MIN_COMPRESS_CELLS = 64
 
+#: Minimum dense-bytes / compressed-bytes ratio for a compressed spill to
+#: be worth it (below this the raw pickle wins on restore latency).
+COMPRESS_MIN_RATIO = 1.2
+
 #: Fraction of the budget above which the background worker starts
 #: cleaning dirty LRU entries ahead of demand.
 WRITEBACK_WATERMARK = 0.75
@@ -156,7 +160,6 @@ class BufferPool:
 
     def __init__(self, budget: int, spill_dir: str, resilience=None,
                  compress_spills: bool = False,
-                 compress_min_ratio: float = 1.2,
                  compressed_exec: bool = False,
                  prefetch: bool = False):
         if budget <= 0:
@@ -169,7 +172,6 @@ class BufferPool:
         #: fall back to pinning the entry in memory instead of losing it.
         self.resilience = resilience
         self.compress_spills = compress_spills
-        self.compress_min_ratio = compress_min_ratio
         #: When False, restored-compressed payloads inflate before leaving
         #: the pool, so kernels only ever see dense/sparse stores.
         self.compressed_exec = compressed_exec
@@ -573,7 +575,7 @@ class BufferPool:
         except Exception:  # noqa: BLE001 - compression must never sink a spill
             self.stats["compress_rejects"] += 1
             return None
-        if compressed.memory_size() * self.compress_min_ratio > store.memory_size():
+        if compressed.memory_size() * COMPRESS_MIN_RATIO > store.memory_size():
             self.stats["compress_rejects"] += 1
             return None
         return compressed

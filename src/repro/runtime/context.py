@@ -68,7 +68,6 @@ class ExecutionContext:
             config.bufferpool_budget, config.resolve_spill_dir(),
             resilience=faults,
             compress_spills=config.spill_compress,
-            compress_min_ratio=config.spill_compress_min_ratio,
             compressed_exec=config.compressed_exec,
             prefetch=config.enable_prefetch,
         )
@@ -76,7 +75,7 @@ class ExecutionContext:
             tracer = LineageTracer(dedup=config.enable_lineage_dedup)
         self.tracer = tracer
         if reuse is None and config.reuse_enabled:
-            reuse = ReuseCache(config.reuse_cache_size, config.partial_reuse_enabled)
+            reuse = ReuseCache(allow_partial=config.partial_reuse_enabled)
         self.reuse = reuse
         if stats is None and config.enable_stats:
             from repro.obs import StatsRegistry
@@ -164,8 +163,8 @@ class ExecutionContext:
             from repro.distributed.rdd import SimSparkContext
 
             self._spark = SimSparkContext(
-                self.config.parallelism, self.config.default_partitions,
-                resilience=self.faults, transport=self.transport,
+                self.config.parallelism, resilience=self.faults,
+                transport=self.transport,
             )
         return self._spark
 

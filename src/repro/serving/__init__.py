@@ -8,9 +8,12 @@ engine:
 * :class:`ModelRegistry` — register/version DML scoring scripts, compile
   once, pin model weights in a shared buffer pool so eviction never hits
   the hot path;
-* :class:`ScoringService` — a thread-pool executor with a bounded
-  admission queue, per-model concurrency limits, request deadlines, and
+* :class:`ScoringService` — worker threads over one bounded admission
+  queue, with per-model concurrency limits, request deadlines, and
   reject-with-:class:`~repro.errors.ServiceOverloadedError` backpressure;
+* :class:`ShardedScoringService` — the same front end, with batches
+  scored in worker processes over shared-memory weights: worker loop *k*
+  takes the next batch of any model and sends it to process *k*;
 * :class:`MicroBatcher` — coalesces single-row requests into one matrix
   op per tick and splits results back per request;
 * :class:`ServingMetrics` — latency percentiles, queue depth, batch-size
@@ -29,7 +32,7 @@ from repro.errors import (
     TenantThrottledError,
     UnknownModelError,
 )
-from repro.serving.batcher import MicroBatcher, shard_of
+from repro.serving.batcher import MicroBatcher
 from repro.serving.metrics import ServingMetrics
 from repro.serving.qos import QosController, TenantPolicy, TokenBucket
 from repro.serving.registry import ModelRegistry, ServableModel
@@ -52,5 +55,4 @@ __all__ = [
     "TenantThrottledError",
     "TokenBucket",
     "UnknownModelError",
-    "shard_of",
 ]

@@ -11,20 +11,15 @@ The batcher is the single synchronisation point of the scoring service:
 * per-model in-flight counts enforce each model's concurrency limit, so
   one hot model cannot monopolise every worker.
 
-Two orthogonal extensions serve the multi-process data plane:
+All workers share the one queue: whichever worker loop is free takes
+the next batch, of any model.  Requests carry an optional ``priority``
+(the QoS layer's weighted-fair-queueing virtual finish time); each model
+queue is a min-heap on ``(priority, seq)``, and untagged requests all
+carry priority 0.0, which degrades to plain FIFO via the admission
+sequence.
 
-* **sharding** — with ``shards > 1`` every model routes to a fixed shard
-  (``crc32(model) % shards``; Python's ``hash`` is per-process salted and
-  therefore useless across workers), and ``take(shard=...)`` only forms
-  batches for that shard.  Batching stays per-model *within* a shard, so
-  one coalesced batch always targets one model on one worker process;
-* **priority ordering** — requests carry an optional ``priority`` (the
-  QoS layer's weighted-fair-queueing virtual finish time).  Each model
-  queue is a min-heap on ``(priority, seq)``; untagged requests all carry
-  priority 0.0, which degrades to plain FIFO via the admission sequence.
-
-With ``max_batch_size=1`` the batcher degenerates into a plain bounded
-FIFO queue (the un-batched baseline of the serving bench).
+With ``max_batch_size=1`` and ``max_wait_ms=0`` the batcher degenerates
+into a plain bounded FIFO queue (one script execution per request).
 """
 
 from __future__ import annotations
@@ -40,7 +35,13 @@ from repro.errors import ServiceOverloadedError, ServingError
 
 
 def shard_of(model: str, shards: int) -> int:
-    """The shard a model routes to (stable across processes and runs)."""
+    """``crc32(model) % shards``: the worker a static model→worker routing
+    would pin ``model`` to (stable across processes and runs).
+
+    The service does not route by model.  Its only use is the repo
+    benchmark's ``serve_zipf``, which reports which models such routing
+    would put on one worker.
+    """
     if shards <= 1:
         return 0
     return zlib.crc32(model.encode("utf-8")) % shards
@@ -55,32 +56,25 @@ class MicroBatcher:
         max_wait_ms: float = 2.0,
         queue_limit: int = 256,
         limit_of: Optional[Callable[[str], Optional[int]]] = None,
-        shards: int = 1,
     ):
         if max_batch_size < 1:
             raise ServingError("max_batch_size must be >= 1")
         if queue_limit < 1:
             raise ServingError("queue_limit must be >= 1")
-        if shards < 1:
-            raise ServingError("shards must be >= 1")
         self.max_batch_size = max_batch_size
         self.max_wait = max(max_wait_ms, 0.0) / 1e3
         self.queue_limit = queue_limit
-        self.shards = shards
         self._limit_of = limit_of
         self._cond = threading.Condition()
-        # shard -> (model -> min-heap of (priority, seq, request)); model
-        # insertion order doubles as the round-robin order across models
-        self._pending: Dict[int, "collections.OrderedDict[str, list]"] = {
-            shard: collections.OrderedDict() for shard in range(shards)
-        }
+        # model -> min-heap of (priority, seq, request); insertion order
+        # doubles as the round-robin order across models
+        self._pending: "collections.OrderedDict[str, list]" = (
+            collections.OrderedDict()
+        )
         self._seq = 0
         self._depth = 0
         self._running: Dict[str, int] = collections.Counter()
         self._closed = False
-
-    def shard_for(self, model: str) -> int:
-        return shard_of(model, self.shards)
 
     # --- admission ----------------------------------------------------------
 
@@ -93,10 +87,9 @@ class MicroBatcher:
                 raise ServiceOverloadedError(
                     f"admission queue full ({self.queue_limit} pending)"
                 )
-            pending = self._pending[self.shard_for(request.model)]
-            queue = pending.get(request.model)
+            queue = self._pending.get(request.model)
             if queue is None:
-                queue = pending[request.model] = []
+                queue = self._pending[request.model] = []
             self._seq += 1
             heapq.heappush(
                 queue,
@@ -118,20 +111,14 @@ class MicroBatcher:
         limit = self._limit_of(model)
         return limit is None or self._running[model] < limit
 
-    def _next_model(self, shard: Optional[int]) -> Optional[str]:
-        pendings = (
-            self._pending.values() if shard is None
-            else (self._pending[shard],)
-        )
-        for pending in pendings:
-            for model, queue in pending.items():
-                if queue and self._capacity(model):
-                    return model
+    def _next_model(self) -> Optional[str]:
+        for model, queue in self._pending.items():
+            if queue and self._capacity(model):
+                return model
         return None
 
     def _drain(self, model: str, room: int) -> List:
-        pending = self._pending[self.shard_for(model)]
-        queue = pending.get(model)
+        queue = self._pending.get(model)
         batch: List = []
         while queue and room > 0:
             batch.append(heapq.heappop(queue)[2])
@@ -139,28 +126,21 @@ class MicroBatcher:
         self._depth -= len(batch)
         if queue is not None and not queue:
             # rotate: an empty queue re-registers at the tail on next offer
-            pending.pop(model, None)
+            self._pending.pop(model, None)
         return batch
 
-    def take(self, timeout: float = 0.1,
-             shard: Optional[int] = None) -> Optional[Tuple[str, List]]:
+    def take(self, timeout: float = 0.1) -> Optional[Tuple[str, List]]:
         """The next (model, requests) batch, or None on timeout/shutdown.
-
-        ``shard`` restricts batch formation to one shard's models (a
-        shard dispatcher never steals another worker's work); None takes
-        from any shard (the single-process thread-pool path).
 
         Marks the model as running; the worker must call :meth:`done` after
         executing the batch so concurrency slots free up.
         """
-        if shard is not None and not 0 <= shard < self.shards:
-            raise ServingError(f"shard {shard} out of range (shards={self.shards})")
         deadline = time.monotonic() + timeout
         with self._cond:
             while True:
                 if self._closed and self._depth == 0:
                     return None
-                model = self._next_model(shard)
+                model = self._next_model()
                 if model is not None:
                     break
                 remaining = deadline - time.monotonic()
@@ -203,13 +183,9 @@ class MicroBatcher:
         with self._cond:
             self._closed = True
             leftovers = [
-                entry[2]
-                for pending in self._pending.values()
-                for queue in pending.values()
-                for entry in queue
+                entry[2] for queue in self._pending.values() for entry in queue
             ]
-            for pending in self._pending.values():
-                pending.clear()
+            self._pending.clear()
             self._depth = 0
             self._cond.notify_all()
             return leftovers

@@ -4,8 +4,7 @@ One :class:`ServingMetrics` instance aggregates per-model counters, a
 sliding window of request latencies (for percentiles), a batch-size
 histogram, and — for the multi-process data plane — per-tenant QoS
 counters and per-worker lifecycle/attach counters.  ``snapshot()``
-returns a plain dict so benches and operators can serialise it directly
-(``BENCH_serving.json``).
+returns a plain dict so benchmarks and operators can serialise it directly.
 
 All record methods are thread-safe: workers, the admission path, and
 readers share one lock, and snapshots are consistent copies — every

@@ -1,10 +1,14 @@
 """The concurrent scoring service: workers, deadlines, backpressure.
 
 Requests enter through :meth:`ScoringService.submit` (non-blocking, returns
-a :class:`ScoreFuture`) or :meth:`ScoringService.score` (blocking).  Worker
-threads pull coalesced batches from the :class:`MicroBatcher`, stack the
-feature rows into one matrix, run the model's prepared script once, and
-split the score rows back to the per-request futures.
+a :class:`ScoreFuture`) or :meth:`ScoringService.score` (blocking).
+``workers`` worker loops share one :class:`MicroBatcher`: whichever loop
+is free takes the next coalesced batch, of any model, stacks the feature
+rows into one matrix, runs the model's prepared script once, and splits
+the score rows back to the per-request futures.  Loop *k* is bound to
+slot *k*, which a subclass may use to pick where the batch executes
+(:class:`~repro.serving.workers.ShardedScoringService` sends it to worker
+process *k*).
 
 Overload behaviour is explicit: a full admission queue rejects with
 :class:`~repro.errors.ServiceOverloadedError`, and requests that miss
@@ -96,12 +100,10 @@ class ScoringService:
         queue_limit: int = 256,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        batching: bool = True,
         default_timeout: Optional[float] = 30.0,
         metrics: Optional[ServingMetrics] = None,
         resilience=None,
         qos: Optional[QosController] = None,
-        shards: int = 1,
     ):
         if workers < 1:
             raise ServingError("workers must be >= 1")
@@ -118,20 +120,14 @@ class ScoringService:
         self._shed_watermark = max(1, int(queue_limit * 0.9))
         self._limits = {}
         self._batcher = MicroBatcher(
-            max_batch_size=max_batch_size if batching else 1,
-            max_wait_ms=max_wait_ms if batching else 0.0,
+            max_batch_size=max_batch_size,
+            max_wait_ms=max_wait_ms,
             queue_limit=queue_limit,
             limit_of=self._limits.get,
-            shards=shards,
         )
         self.metrics.depth_probe = lambda: self._batcher.depth
+        self._slots = workers
         self._workers: List[threading.Thread] = []
-        #: The shard each worker loop takes from: one loop per shard when
-        #: sharded (a shard's loop never steals another shard's work),
-        #: else ``workers`` loops over the single shard.
-        self._loop_shards = (
-            list(range(shards)) if shards > 1 else [None] * workers
-        )
         self._stop = threading.Event()
         self._started = False
 
@@ -142,10 +138,10 @@ class ScoringService:
             return self
         self._started = True
         self._stop.clear()
-        for index, shard in enumerate(self._loop_shards):
+        for slot in range(self._slots):
             worker = threading.Thread(
-                target=self._worker_loop, args=(shard,),
-                name=f"scoring-worker-{index}", daemon=True,
+                target=self._worker_loop, args=(slot,),
+                name=f"scoring-worker-{slot}", daemon=True,
             )
             worker.start()
             self._workers.append(worker)
@@ -275,9 +271,9 @@ class ScoringService:
             )
 
     def _score_batch(self, servable: ServableModel, stacked: np.ndarray,
-                     n_requests: int):
-        """Run one coalesced batch of ``n_requests`` requests, with retry +
-        breaker when resilience is on."""
+                     n_requests: int, slot: int):
+        """Run one coalesced batch of ``n_requests`` requests for worker
+        loop ``slot``, with retry + breaker when resilience is on."""
         resilience = self.resilience
         if resilience is None:
             return servable.score_batch(stacked)
@@ -303,14 +299,14 @@ class ScoringService:
 
     # --- workers ------------------------------------------------------------
 
-    def _worker_loop(self, shard: Optional[int]) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while not self._stop.is_set():
-            taken = self._batcher.take(timeout=0.05, shard=shard)
+            taken = self._batcher.take(timeout=0.05)
             if taken is None:
                 continue
             model_key, requests = taken
             try:
-                self._execute_batch(requests)
+                self._execute_batch(requests, slot)
             finally:
                 self._batcher.done(model_key)
 
@@ -328,7 +324,7 @@ class ScoringService:
                 live.append(request)
         return live
 
-    def _execute_batch(self, requests: List[_Request]) -> None:
+    def _execute_batch(self, requests: List[_Request], slot: int) -> None:
         requests = self._split_expired(requests)
         if not requests:
             return
@@ -338,7 +334,7 @@ class ScoringService:
             [request.features for request in requests]
         )
         try:
-            scores = self._score_batch(servable, stacked, len(requests))
+            scores = self._score_batch(servable, stacked, len(requests), slot)
         except Exception as exc:  # noqa: BLE001 - fail the batch, not the worker
             self.metrics.record_error(servable.key, count=len(requests))
             for request in requests:

@@ -1,4 +1,4 @@
-"""Multi-process scoring: the sharded serving data plane.
+"""Multi-process scoring: the serving data plane in worker processes.
 
 :class:`ShardedScoringService` keeps the single-process front end — the
 same ``submit``/``score`` admission path, bounded queue, deadlines,
@@ -13,10 +13,10 @@ module holds no process, queue or liveness code of its own:
   each worker slot one *init* request, logged for replay; the worker
   attaches the segments zero-copy, checksum-verifies them, recompiles
   the scoring scripts locally, and replies with its attach counts;
-* models route to shards by ``crc32(model) % shards`` (the
-  :class:`~repro.serving.batcher.MicroBatcher`'s shard routing), and one
-  parent loop per shard forms batches with ``take(shard=...)`` and
-  round-trips each to its worker — one in-flight batch per worker;
+* every worker holds every model, so there is no routing: the parent
+  runs one worker loop per slot over the one admission queue, and loop
+  *k* takes the next batch of any model and round-trips it to worker
+  *k* — one in-flight batch per worker;
 * a worker death (SIGKILL, crash, or a wedge past the transport request
   timeout) is recovered by the pool: respawn, replay of the init request
   against the same shared segments, and a same-id *resend* of the
@@ -69,11 +69,10 @@ def _score(state: dict, name: str, version: int, features: np.ndarray):
 class ShardedScoringService(ScoringService):
     """A :class:`ScoringService` whose batches execute in worker processes.
 
-    ``procs`` is both the worker count and the shard count: every model
-    lives on exactly one worker, so its per-process plan/reuse caches
-    stay hot.  The admission path (queue bound, deadlines, QoS, shed
-    watermark, breakers) is inherited unchanged — only batch execution
-    crosses the process boundary.
+    ``procs`` worker processes, each fed by its own worker loop; any
+    worker scores any model.  The admission path (queue bound,
+    deadlines, QoS, shed watermark, breakers) is inherited unchanged —
+    only batch execution crosses the process boundary.
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class ShardedScoringService(ScoringService):
         queue_limit: int = 256,
         max_batch_size: int = 32,
         max_wait_ms: float = 2.0,
-        batching: bool = True,
         default_timeout: Optional[float] = 30.0,
         metrics: Optional[ServingMetrics] = None,
         resilience=None,
@@ -93,10 +91,10 @@ class ShardedScoringService(ScoringService):
         if procs < 1:
             raise ServingError("procs must be >= 1")
         super().__init__(
-            registry, workers=1, queue_limit=queue_limit,
+            registry, workers=procs, queue_limit=queue_limit,
             max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-            batching=batching, default_timeout=default_timeout,
-            metrics=metrics, resilience=resilience, qos=qos, shards=procs,
+            default_timeout=default_timeout, metrics=metrics,
+            resilience=resilience, qos=qos,
         )
         self.procs = procs
         self.respawn_limit = respawn_limit
@@ -131,8 +129,8 @@ class ShardedScoringService(ScoringService):
             # parallel; the logged init is what a respawn replays
             with ThreadPoolExecutor(self.procs) as executor:
                 attaches = list(executor.map(
-                    lambda shard: self._pool.round_trip(
-                        "score", shard, init, topic="init"),
+                    lambda slot: self._pool.round_trip(
+                        "score", slot, init, topic="init"),
                     range(self.procs),
                 ))
         except BaseException:
@@ -140,8 +138,8 @@ class ShardedScoringService(ScoringService):
             # segment linked
             self._release()
             raise
-        for shard, attach in enumerate(attaches):
-            self.metrics.record_worker_attach(shard, **attach)
+        for slot, attach in enumerate(attaches):
+            self.metrics.record_worker_attach(slot, **attach)
         return super().start()
 
     def stop(self) -> None:
@@ -157,33 +155,31 @@ class ShardedScoringService(ScoringService):
     # --- dispatch -----------------------------------------------------------
 
     def _score_batch(self, servable, stacked: np.ndarray,
-                     n_requests: int) -> np.ndarray:
-        """Round-trip one batch to its shard's worker.
+                     n_requests: int, slot: int) -> np.ndarray:
+        """Round-trip one batch to worker ``slot``.
 
         The pool makes a worker death invisible (respawn, init replay,
         same-id resend); this only mirrors it into the per-worker metrics.
         """
-        shard = self._batcher.shard_for(servable.key)
-
         def on_respawn(replies) -> None:
-            self.metrics.record_worker_death(shard)
-            self.metrics.record_worker_respawn(shard, resent=n_requests)
+            self.metrics.record_worker_death(slot)
+            self.metrics.record_worker_respawn(slot, resent=n_requests)
             for attach in replies:
-                self.metrics.record_worker_attach(shard, **attach)
+                self.metrics.record_worker_attach(slot, **attach)
 
         try:
             scores = self._pool.round_trip(
-                "score", shard,
+                "score", slot,
                 ("call", _score, (servable.name, servable.version, stacked)),
                 "serve.worker", on_respawn=on_respawn,
             )
         except WorkerRespawnError as exc:
-            self.metrics.record_worker_death(shard)  # the unrecovered one
+            self.metrics.record_worker_death(slot)  # the unrecovered one
             raise WorkerDiedError(
-                f"worker {shard} died {exc.deaths} times executing one "
+                f"worker {slot} died {exc.deaths} times executing one "
                 f"batch (respawn_limit={self.respawn_limit})"
             ) from exc
-        self.metrics.record_worker_batch(shard, n_requests)
+        self.metrics.record_worker_batch(slot, n_requests)
         return scores
 
     # --- observability -------------------------------------------------------

@@ -245,22 +245,10 @@ class TestCli:
         assert _parse_value("text") == "text"
         assert _parse_args(["a=1", "b=x"]) == {"a": 1, "b": "x"}
 
-    def test_no_script_without_serve_bench(self, capsys):
+    def test_no_script_is_a_usage_error(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main([])
-
-    def test_serve_bench_flag(self, tmp_path, capsys):
-        import json
-
-        from repro.cli import main
-
-        out = tmp_path / "BENCH_serving.json"
-        rc = main(["--serve-bench", "--serve-requests", "40",
-                   "--serve-out", str(out)])
-        assert rc == 0
-        report = json.loads(out.read_text())
-        assert report["batched"]["throughput_rps"] > 0
-        assert "batching_speedup" in report
-        assert "lm-score@v1" in report["batched"]["metrics"]["models"]
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

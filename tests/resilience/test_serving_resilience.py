@@ -46,8 +46,8 @@ class TestScoreRetry:
     def test_transient_score_faults_are_retried(self, registry):
         weights = _register_lm(registry)
         resilience = _manager("serve.score:fail=2", retries=2)
-        with ScoringService(registry, workers=1, batching=False,
-                            resilience=resilience) as service:
+        with ScoringService(registry, workers=1, max_batch_size=1,
+                            max_wait_ms=0.0, resilience=resilience) as service:
             row = np.arange(6, dtype=float)
             score = service.score("lm", row, timeout=10.0)
             np.testing.assert_allclose(score, row.reshape(1, -1) @ weights)
@@ -57,8 +57,8 @@ class TestScoreRetry:
     def test_exhausted_faults_fail_the_request_not_the_worker(self, registry):
         _register_lm(registry)
         resilience = _manager("serve.score:fail=1", retries=0)
-        with ScoringService(registry, workers=1, batching=False,
-                            resilience=resilience) as service:
+        with ScoringService(registry, workers=1, max_batch_size=1,
+                            max_wait_ms=0.0, resilience=resilience) as service:
             future = service.submit("lm", np.arange(6, dtype=float))
             with pytest.raises(Exception, match="serve.score"):
                 future.result(timeout=10.0)
@@ -72,8 +72,8 @@ class TestCircuitBreaker:
         _register_lm(registry)
         resilience = _manager("serve.score:p=1.0", retries=0, clock=clock,
                               breaker_threshold=2)
-        with ScoringService(registry, workers=1, batching=False,
-                            resilience=resilience) as service:
+        with ScoringService(registry, workers=1, max_batch_size=1,
+                            max_wait_ms=0.0, resilience=resilience) as service:
             for __ in range(2):
                 future = service.submit("lm", np.arange(6, dtype=float))
                 with pytest.raises(Exception):
@@ -90,8 +90,8 @@ class TestCircuitBreaker:
         weights = _register_lm(registry)
         resilience = _manager("serve.score:fail=2", retries=0, clock=clock,
                               breaker_threshold=2, breaker_cooldown_s=5.0)
-        with ScoringService(registry, workers=1, batching=False,
-                            resilience=resilience) as service:
+        with ScoringService(registry, workers=1, max_batch_size=1,
+                            max_wait_ms=0.0, resilience=resilience) as service:
             for __ in range(2):
                 future = service.submit("lm", np.arange(6, dtype=float))
                 with pytest.raises(Exception):
@@ -111,7 +111,8 @@ class TestLoadShedding:
         resilience = _manager(retries=0)
         # not started: no workers drain the queue, so depth only grows
         service = ScoringService(registry, workers=1, queue_limit=10,
-                                 batching=False, resilience=resilience)
+                                 max_batch_size=1, max_wait_ms=0.0,
+                                 resilience=resilience)
         shed = None
         for __ in range(10):
             try:
@@ -127,7 +128,7 @@ class TestLoadShedding:
     def test_no_resilience_keeps_hard_queue_limit_only(self, registry):
         _register_lm(registry)
         service = ScoringService(registry, workers=1, queue_limit=10,
-                                 batching=False)
+                                 max_batch_size=1, max_wait_ms=0.0)
         for __ in range(10):
             service.submit("lm", np.arange(6, dtype=float))
         assert service._batcher.depth == 10  # no watermark without resilience

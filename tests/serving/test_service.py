@@ -143,7 +143,8 @@ class TestConcurrentLoad:
                     active[0] -= 1
 
         servable.score_batch = tracked
-        with ScoringService(registry, workers=4, batching=False) as service:
+        with ScoringService(registry, workers=4, max_batch_size=1,
+                            max_wait_ms=0.0) as service:
             futures = [service.submit("lm", np.ones(6)) for _ in range(12)]
             assert first_entered.wait(timeout=10.0)
             release.set()
@@ -156,7 +157,7 @@ class TestOverloadAndTimeouts:
     def test_bounded_queue_rejects(self, registry):
         _register_lm(registry)
         service = ScoringService(registry, workers=1, queue_limit=3,
-                                 batching=False)
+                                 max_batch_size=1, max_wait_ms=0.0)
         # workers not started: submissions can only pile up
         for _ in range(3):
             service.submit("lm", np.ones(6))
@@ -176,7 +177,8 @@ class TestOverloadAndTimeouts:
 
     def test_expired_requests_dropped_not_scored(self, registry):
         _register_lm(registry)
-        service = ScoringService(registry, workers=1, batching=False)
+        service = ScoringService(registry, workers=1, max_batch_size=1,
+                                 max_wait_ms=0.0)
         # timeout=0 puts the deadline in the past: expired while queued,
         # with no real sleep (deadline checks use a strict now > deadline)
         future = service.submit("lm", np.ones(6), timeout=0.0)

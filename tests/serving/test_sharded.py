@@ -5,17 +5,14 @@ module-scoped service is reused across tests to keep spawn cost down.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
 from repro.errors import ServingError, SharedSegmentError, UnknownModelError
-from repro.serving import (
-    ModelRegistry,
-    QosController,
-    ShardedScoringService,
-    shard_of,
-)
+from repro.io.shm import SHM_DIR, SHM_PREFIX
+from repro.serving import ModelRegistry, QosController, ShardedScoringService
 
 FEATURES = 6
 SCRIPT = "yhat = X %*% B"
@@ -75,18 +72,6 @@ class TestShardedScoring:
         assert snap["shared_memory"]["published"] >= 1
         assert snap["shared_memory"]["owned"] >= 1
 
-    def test_models_route_to_their_shard(self, rig):
-        service, _ = rig
-        snap = service.snapshot()
-        busy = {
-            shard_of(name, 2) for name in ("alpha", "beta")
-        }
-        batched = {
-            int(worker) for worker, stats in snap["workers"].items()
-            if stats["batches"] > 0
-        }
-        assert batched <= busy  # only routed shards executed batches
-
     def test_unknown_model_rejected_in_parent(self, rig):
         service, _ = rig
         with pytest.raises(UnknownModelError):
@@ -102,6 +87,30 @@ class TestShardedScoring:
         x = np.ones((1, FEATURES))
         got = service.score("alpha", x, timeout=30.0)
         assert got.shape == (1, 1)  # plane still healthy afterwards
+
+
+class TestOneQueue:
+    def test_burst_of_one_model_runs_on_both_workers(self):
+        # integer-valued inputs make every score exact, so a row scored on
+        # either worker must come back bit-identical to the NumPy product
+        rng = np.random.default_rng(7)
+        b = rng.integers(-8, 8, (FEATURES, 1)).astype(float)
+        x = rng.integers(-8, 8, (64, FEATURES)).astype(float)
+        registry = ModelRegistry()
+        registry.register("solo", SCRIPT, weights={"B": b})
+        service = ShardedScoringService(registry, procs=2, max_batch_size=4)
+        try:
+            # queued before the worker loops start, so both find work
+            futures = [service.submit("solo", x[i:i + 1])
+                       for i in range(len(x))]
+            with service:
+                got = np.vstack([future.result(30.0) for future in futures])
+                workers = service.snapshot()["workers"]
+            assert workers["0"]["batches"] > 0
+            assert workers["1"]["batches"] > 0
+            assert np.array_equal(got, x @ b)
+        finally:
+            registry.close()
 
 
 class TestConstruction:
@@ -168,6 +177,37 @@ class TestStartRollback:
             with service:
                 got = service.score("lm", np.ones(FEATURES), timeout=30.0)
                 np.testing.assert_allclose(got, [[float(FEATURES)]])
+        finally:
+            service.stop()
+            registry.close()
+
+
+@pytest.mark.skipif(not os.path.isdir(SHM_DIR), reason="needs /dev/shm")
+class TestCleanStop:
+    def test_stop_leaves_no_worker_and_no_segment(self):
+        def segments():
+            return {name for name in os.listdir(SHM_DIR)
+                    if name.startswith(SHM_PREFIX)}
+
+        registry = ModelRegistry()
+        # weights no other test publishes, so this service owns the segment
+        b = np.full((FEATURES, 1), 0.125)
+        registry.register("leak-check", SCRIPT, weights={"B": b})
+        service = ShardedScoringService(registry, procs=2)
+        children_before = set(multiprocessing.active_children())
+        segments_before = segments()
+        try:
+            service.start()
+            got = service.score("leak-check", np.ones(FEATURES), timeout=30.0)
+            np.testing.assert_allclose(got, [[0.75]])
+            spawned = set(multiprocessing.active_children()) - children_before
+            published = segments() - segments_before
+            assert len(spawned) == 2
+            assert published
+            service.stop()
+            assert not any(child.is_alive() for child in spawned)
+            assert set(multiprocessing.active_children()) <= children_before
+            assert not published & segments()
         finally:
             service.stop()
             registry.close()
