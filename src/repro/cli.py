@@ -103,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="silent heartbeat intervals before a miss "
                                 "is counted (default 3)")
-    transport.add_argument("--connect-timeout", type=float, default=None,
-                           metavar="S",
-                           help="tcp dial + READY-greeting deadline "
-                                "(default 5)")
-    transport.add_argument("--reconnect-retries", type=int, default=None,
-                           metavar="N",
-                           help="redials after a severed tcp link before "
-                                "the peer is declared dead (default 4)")
     parser.add_argument("--trace-threshold", type=int, default=None,
                         metavar="N",
                         help="block executions before a trace is compiled "
@@ -123,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     ooc.add_argument("--no-spill-compress", action="store_true",
                      help="spill raw pickles instead of CLA-compressing "
                           "eligible dense FP64 blocks")
-    ooc.add_argument("--no-prefetch", action="store_true",
-                     help="disable the background prefetch/writeback thread")
     ooc.add_argument("--compressed-exec", action="store_true",
                      help="let eligible kernels execute directly on "
                           "still-compressed restored blocks (results match "
@@ -188,18 +178,12 @@ def main(argv=None) -> int:
         overrides["heartbeat_interval_s"] = args.heartbeat_interval
     if args.heartbeat_grace is not None:
         overrides["heartbeat_miss_grace"] = args.heartbeat_grace
-    if args.connect_timeout is not None:
-        overrides["tcp_connect_timeout_s"] = args.connect_timeout
-    if args.reconnect_retries is not None:
-        overrides["tcp_reconnect_retries"] = args.reconnect_retries
     if args.trace_threshold is not None:
         overrides["trace_threshold"] = args.trace_threshold
     if args.pool_budget is not None:
         overrides["bufferpool_budget_override"] = args.pool_budget
     if args.no_spill_compress:
         overrides["spill_compress"] = False
-    if args.no_prefetch:
-        overrides["enable_prefetch"] = False
     if args.compressed_exec:
         overrides["compressed_exec"] = True
     if args.inject_faults is not None:

@@ -4,7 +4,11 @@ A :class:`ReproConfig` plays the role of SystemDS' ``SystemDS-config.xml``
 plus the JVM heap settings: it fixes the memory budget that drives operator
 selection (CP vs. distributed), the degree of parallelism, block sizes for
 the distributed backend, and the feature flags used by the ablation
-benchmarks (rewrites, lineage, reuse).
+benchmarks (rewrites, lineage, reuse) and by out-of-core runs (spill
+compression, compressed execution; paging itself is always synchronous).
+Tuning values nothing varies — the tcp dial timeout and redial budget,
+the spill compression ratio, the reuse-cache size — are constants next
+to their one reader, not fields.
 
 Configs are plain dataclasses; the active config travels with each
 execution context rather than being process-global, so tests can run
@@ -40,16 +44,12 @@ class ReproConfig:
     #: Directory for buffer-pool spill files (created lazily).
     spill_dir: Optional[str] = None
 
-    # --- out-of-core (PR 9) -------------------------------------------------
+    # --- out-of-core ---------------------------------------------------------
     #: Compress eligible spilled blocks (dense 2D FP64) with the CLA
     #: encoders before writing; falls back to raw pickles when the
     #: compression ratio does not pay.  The codec is bit-exact, so this is
     #: on by default and safe under bitwise lattice configs.
     spill_compress: bool = True
-    #: Background prefetch/writeback thread: the interpreter's lookahead
-    #: over each basic block's reads warms evicted entries before ``get``
-    #: needs them, and dirty entries are flushed off the eviction hot path.
-    enable_prefetch: bool = True
     #: Let eligible kernels (scalar arithmetic, full aggregates, matmul
     #: with a dense RHS) execute directly on still-compressed restored
     #: blocks.  Off by default: compressed reductions legally reorder
@@ -85,12 +85,6 @@ class ReproConfig:
     #: Silent grace, in heartbeat intervals, before a missed heartbeat is
     #: counted and the worker process is probed for liveness.
     heartbeat_miss_grace: float = 3.0
-    #: Connect + READY-greeting deadline (s) when dialing a tcp worker
-    #: (bounds half-open connection detection).
-    tcp_connect_timeout_s: float = 5.0
-    #: Redial attempts after a severed tcp link before the peer is
-    #: declared dead (escalating to respawn + publication replay).
-    tcp_reconnect_retries: int = 4
 
     # --- optimizer feature flags (ablations) ---------------------------------
     enable_rewrites: bool = True
@@ -202,10 +196,6 @@ class ReproConfig:
             raise ValueError(
                 "heartbeat_miss_grace must be >= 1 heartbeat interval"
             )
-        if self.tcp_connect_timeout_s <= 0:
-            raise ValueError("tcp_connect_timeout_s must be positive")
-        if self.tcp_reconnect_retries < 0:
-            raise ValueError("tcp_reconnect_retries must be >= 0")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be >= 0")
         if self.max_instructions is not None and self.max_instructions < 1:

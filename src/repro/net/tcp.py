@@ -61,6 +61,14 @@ from repro.net.proc import ProcTransport
 from repro.net.worker import tcp_worker_main
 from repro.resilience.retry import RetryPolicy
 
+#: Connect + READY-greeting deadline (s) when dialing a tcp worker
+#: (bounds half-open connection detection).
+CONNECT_TIMEOUT_S = 5.0
+
+#: Redial attempts after a severed tcp link before the peer is declared
+#: dead (escalating to respawn + publication replay).
+RECONNECT_RETRIES = 4
+
 
 class _TcpHandle(_Handle):
     """A worker incarnation plus the address it listens on."""
@@ -91,17 +99,15 @@ class TcpTransport(ProcTransport):
     def __init__(self, site_workers: int = 2, task_workers: int = 2,
                  heartbeat_s: float = 0.25, request_timeout_s: float = 60.0,
                  respawn_limit: int = 3, miss_grace: float = 3.0,
-                 host: str = "127.0.0.1", connect_timeout_s: float = 5.0,
-                 reconnect_retries: int = 4,
+                 host: str = "127.0.0.1",
                  reconnect_backoff_ms: float = 20.0,
                  reconnect_backoff_max_ms: float = 500.0):
         super().__init__(site_workers, task_workers, heartbeat_s,
                          request_timeout_s, respawn_limit,
                          miss_grace=miss_grace)
         self.host = host
-        self.connect_timeout_s = connect_timeout_s
         self.reconnect_policy = RetryPolicy(
-            max_retries=reconnect_retries,
+            max_retries=RECONNECT_RETRIES,
             backoff_ms=reconnect_backoff_ms,
             max_backoff_ms=reconnect_backoff_max_ms,
         )
@@ -117,11 +123,7 @@ class TcpTransport(ProcTransport):
             from repro.config import ReproConfig
             config = ReproConfig()
         params = super().params_from(config)
-        params.update({
-            "host": config.transport_host,
-            "connect_timeout_s": config.tcp_connect_timeout_s,
-            "reconnect_retries": config.tcp_reconnect_retries,
-        })
+        params["host"] = config.transport_host
         return params
 
     # --- connection lifecycle ------------------------------------------------
@@ -132,14 +134,14 @@ class TcpTransport(ProcTransport):
         Returns ``(socket, pid)``.  The greeting is what detects half-open
         connections: a listener that accepts but whose process is wedged
         (or a recycled port owned by a stranger) fails the READY exchange
-        within ``connect_timeout_s`` instead of wedging the coordinator.
+        within :data:`CONNECT_TIMEOUT_S` instead of wedging the coordinator.
         """
         sock = socket.create_connection(
-            (host, port), timeout=self.connect_timeout_s
+            (host, port), timeout=CONNECT_TIMEOUT_S
         )
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.connect_timeout_s)
+            sock.settimeout(CONNECT_TIMEOUT_S)
             hello = recv_ready(sock, f"worker at {host}:{port}")
         except BaseException:
             try:

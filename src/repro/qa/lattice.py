@@ -34,8 +34,8 @@ tcp                federated sites behind workers on real TCP addresses
 chaos_tcp          tcp transport under seeded wire faults — partitions,
                    duplicated and bit-flipped frames — recovered by
                    reconnect + same-id resend + dedup; bit-identical
-ooc                out-of-core: tiny pool + compressed spills + async
-                   prefetch/writeback; bit-identical to the baseline
+ooc                out-of-core: tiny pool + compressed spills, paged
+                   synchronously; bit-identical to the baseline
 chaos_ooc          ooc under spill read/write faults + retries;
                    bit-identical (recovery must stay invisible)
 ooc_cla_exec       ooc with compressed-space kernels on; tolerance-only
@@ -69,13 +69,12 @@ _CHAOS_RETRY = {
 
 #: Out-of-core overrides: the CP plan stays the baseline plan (full
 #: operator budget) while the buffer pool shrinks to ~500 bytes, so every
-#: intermediate pages through compressed spills with async prefetch on.
+#: intermediate pages through compressed spills.
 _OOC_OVERRIDES = {
     "memory_budget": 16 * 1024,
     "operator_memory_fraction": 1.0,
     "bufferpool_fraction": 0.03,
     "spill_compress": True,
-    "enable_prefetch": True,
 }
 
 
@@ -335,9 +334,8 @@ class Lattice:
             LatticeConfig(
                 name="ooc",
                 description="out-of-core: ~500-byte pool with compressed "
-                            "spills and async prefetch/writeback; "
-                            "bit-identical to the baseline (the CLA spill "
-                            "codec is bit-exact and layout-preserving)",
+                            "spills; bit-identical to the baseline (the CLA "
+                            "spill codec is bit-exact and layout-preserving)",
                 overrides=dict(_OOC_OVERRIDES),
                 bitwise=True,
                 reference="baseline",
@@ -345,8 +343,7 @@ class Lattice:
             LatticeConfig(
                 name="chaos_ooc",
                 description="out-of-core paging under spill read/write "
-                            "faults on both the sync and async paths; "
-                            "bit-identical to the baseline",
+                            "faults; bit-identical to the baseline",
                 overrides={
                     **_OOC_OVERRIDES,
                     "fault_spec": "spill.write:p=0.15;spill.read:p=0.1",

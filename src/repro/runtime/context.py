@@ -69,7 +69,6 @@ class ExecutionContext:
             resilience=faults,
             compress_spills=config.spill_compress,
             compressed_exec=config.compressed_exec,
-            prefetch=config.enable_prefetch,
         )
         if tracer is None and config.enable_lineage:
             tracer = LineageTracer(dedup=config.enable_lineage_dedup)

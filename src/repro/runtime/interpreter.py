@@ -145,44 +145,9 @@ def _execute_while(block: WhileBlock, ctx: ExecutionContext) -> None:
         checkpoints.exit_loop()
 
 
-#: How many instructions ahead of execution the pool is told about reads.
-#: Matched to small out-of-core pools: deep enough that the async worker
-#: has restores in flight while the current instruction computes, shallow
-#: enough that warmed blocks are consumed before room-making pressure
-#: builds (a whole-block burst just thrashes a pool a few blocks wide).
-_PREFETCH_LOOKAHEAD = 4
-
-
-def _prefetch_window(instructions, start: int, stop: int,
-                     ctx: ExecutionContext) -> None:
-    """Announce instructions[start:stop]'s matrix reads to the buffer pool.
-
-    The pool's background worker restores evicted entries while earlier
-    instructions run, so demand ``get``/``pin`` calls find them warm.
-    Bound variables only — temporaries produced inside the block don't
-    exist yet, and pool-less (``_direct``) objects have nothing to warm.
-    """
-    pool = ctx.pool
-    variables = ctx.variables
-    entry_ids = []
-    for instruction in instructions[start:stop]:
-        for operand in instruction.inputs:
-            if operand.is_literal:
-                continue
-            value = variables.get(operand.name)
-            if (value is not None and getattr(value, "_pool", None) is pool
-                    and value._entry_id is not None):
-                entry_ids.append(value._entry_id)
-    if entry_ids:
-        pool.prefetch(entry_ids)
-
-
 def _execute_basic(block: BasicBlock, ctx: ExecutionContext) -> None:
     traces = ctx.traces
     instructions = block.instructions
-    prefetching = ctx.pool.wants_prefetch
-    if prefetching:
-        _prefetch_window(instructions, 0, _PREFETCH_LOOKAHEAD, ctx)
     if block.requires_recompile and ctx.config.enable_recompile:
         # trace-first: a guard-matching trace proves the plan-cache lookup
         # would return the very plan it fused, so skip the lookup outright
@@ -196,10 +161,6 @@ def _execute_basic(block: BasicBlock, ctx: ExecutionContext) -> None:
         return  # traced: exports applied, hooks replayed, no temps bound
     releases = _temp_release_points(instructions)
     for index, instruction in enumerate(instructions):
-        if prefetching:
-            # slide the window: announce the instruction entering it
-            _prefetch_window(instructions, index + _PREFETCH_LOOKAHEAD,
-                             index + _PREFETCH_LOOKAHEAD + 1, ctx)
         execute_instruction(instruction, ctx)
         if index in releases:
             # dead-temp release: a ``_t`` past its last static read holds

@@ -252,3 +252,17 @@ class TestCli:
             main([])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--no-prefetch", "--connect-timeout=5", "--reconnect-retries=4",
+    ])
+    def test_unsupported_tuning_flag_is_a_usage_error(self, tmp_path, capsys,
+                                                      flag):
+        from repro.cli import main
+
+        script = tmp_path / "s.dml"
+        script.write_text("print(1)\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(script), flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

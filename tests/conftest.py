@@ -6,10 +6,10 @@ nondeterminism into each other through the module-level ``random`` /
 ``np.random.default_rng(seed)`` locally, which is unaffected).
 
 ``wait_until`` is the repo-wide replacement for fixed ``time.sleep`` in
-tests that coordinate with background threads (batcher, buffer-pool
-prefetch/writeback): it polls a predicate with a bounded deadline, so
-tests pass as fast as the thread allows and fail loudly instead of
-flaking when it stalls.
+tests that coordinate with background threads (the serving batcher's
+takers): it polls a predicate with a bounded deadline, so tests pass as
+fast as the thread allows and fail loudly instead of flaking when it
+stalls.
 """
 
 import random

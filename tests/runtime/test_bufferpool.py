@@ -9,8 +9,6 @@ from repro.errors import BufferPoolError
 from repro.runtime.bufferpool import BufferPool
 from repro.tensor.block import BasicTensorBlock
 
-from tests.conftest import wait_until
-
 
 @pytest.fixture
 def pool(tmp_path):
@@ -333,87 +331,33 @@ class TestCompressedSpills:
         pool.close()
 
 
-class TestAsyncPaging:
-    """Prefetch/writeback worker tests — wait_until, never fixed sleeps."""
+class TestSyncPaging:
+    """Update-after-spill and spill faults on the one (synchronous) path."""
 
     def _pool(self, tmp_path, budget, **kw):
         kw.setdefault("compress_spills", True)
-        kw.setdefault("prefetch", True)
         return BufferPool(budget=budget, spill_dir=str(tmp_path), **kw)
 
-    def test_prefetch_restores_in_background(self, tmp_path):
-        blocks = [compressible_block() for _ in range(4)]
+    def test_update_after_spill_leaves_no_stale_spill(self, tmp_path):
+        from repro.runtime.bufferpool import PID_FILE
+
+        blocks = [compressible_block() for _ in range(3)]
         size = blocks[0].memory_size()
         pool = self._pool(tmp_path, budget=size * 2)
-        ids = [pool.put(b, size) for b in blocks]
-        pool.drain_async()  # let writeback clean the resident entries
-        evicted = [i for i in ids if not pool._entries[i].in_memory]
-        assert evicted
-        pool.prefetch(evicted[:1])
-        wait_until(lambda: pool._entries[evicted[0]].in_memory,
-                   message="prefetch never restored the entry")
-        assert pool.stats["restores"] >= 1
-        pool.get(evicted[0])
-        assert pool.stats["prefetch_hits"] == 1
-        assert pool.used <= pool.budget
-        pool.close()
-
-    def test_prefetch_of_resident_entry_is_noop(self, tmp_path):
-        block = compressible_block()
-        pool = self._pool(tmp_path, budget=block.memory_size() * 4)
-        a = pool.put(block, block.memory_size())
-        pool.prefetch([a, a, 999])  # resident + unknown: nothing queued
-        assert pool.stats["prefetch_requests"] == 0
-        pool.close()
-
-    def test_writeback_cleans_dirty_lru_entries(self, tmp_path):
-        blocks = [compressible_block() for _ in range(3)]
-        size = blocks[0].memory_size()
-        pool = self._pool(tmp_path, budget=size * 3 + 100)
-        ids = [pool.put(b, size) for b in blocks]  # ~watermark, no eviction
-        wait_until(lambda: pool.stats["async_writebacks"] >= 1,
-                   message="writeback worker never cleaned an entry")
-        pool.drain_async()
-        cleaned = [i for i in ids if not pool._entries[i].dirty]
-        assert cleaned
-        # clean entries now evict for free (payload drop, no sync write)
-        written = pool.stats["bytes_spilled"]
-        pool.put(compressible_block(), size)
-        assert pool.stats["evictions"] >= 1
-        assert pool.stats["bytes_spilled"] == written
-        pool.close()
-
-    def test_update_during_writeback_never_leaves_stale_spill(self, tmp_path):
-        blocks = [compressible_block() for _ in range(3)]
-        size = blocks[0].memory_size()
-        pool = self._pool(tmp_path, budget=size * 3 + 100)
-        ids = [pool.put(b, size) for b in blocks]
-        # race updates against the cleaning worker, then force eviction
+        a = [pool.put(b, size) for b in blocks][0]  # the third put evicts a
+        assert not pool._entries[a].in_memory and not pool._entries[a].dirty
         fresh = BasicTensorBlock.from_numpy(np.full((64, 16), 42.0))
-        for i in ids:
-            pool.update(i, fresh, size)
-        pool.drain_async()
-        pool.put(compressible_block(), size * 3)  # evict all of them
-        for i in ids:
-            assert np.array_equal(pool.get(i).to_numpy(), fresh.to_numpy())
+        pool.update(a, fresh, size)
+        pool.put(compressible_block(), size * 2)  # evicts a again
+        assert not pool._entries[a].in_memory
+        assert np.array_equal(pool.get(a).to_numpy(), fresh.to_numpy())
+        # exactly one file per spilled entry: the rewrite left nothing behind
+        on_disk = set(os.listdir(tmp_path)) - {PID_FILE}
+        assert on_disk == {os.path.basename(e.spill_path)
+                           for e in pool._entries.values() if e.spill_path}
         pool.close()
 
-    def test_free_during_prefetch_is_safe(self, tmp_path):
-        blocks = [compressible_block() for _ in range(4)]
-        size = blocks[0].memory_size()
-        pool = self._pool(tmp_path, budget=size * 2)
-        ids = [pool.put(b, size) for b in blocks]
-        pool.drain_async()
-        evicted = [i for i in ids if not pool._entries[i].in_memory]
-        pool.prefetch(evicted)
-        for i in evicted:
-            pool.free(i)
-        pool.drain_async()
-        assert all(i not in pool._entries for i in evicted)
-        assert pool.used <= pool.budget
-        pool.close()
-
-    def test_spill_faults_fire_on_async_paths(self, tmp_path):
+    def test_spill_faults_recovered_transparently(self, tmp_path):
         from repro.resilience import (
             FaultInjector, FaultPlan, ResilienceManager, RetryPolicy,
         )
@@ -425,26 +369,20 @@ class TestAsyncPaging:
             retry_policy=RetryPolicy(max_retries=5, jitter=0.0),
             sleep=None,
         )
-        blocks = [compressible_block() for _ in range(6)]
+        blocks = [
+            BasicTensorBlock.from_numpy(np.tile(np.arange(4.0) + i, (64, 4)))
+            for i in range(6)
+        ]
         size = blocks[0].memory_size()
         pool = self._pool(tmp_path, budget=size * 2, resilience=faults)
         ids = [pool.put(b, size) for b in blocks]
-        pool.drain_async()
-        pool.prefetch([i for i in ids if not pool._entries[i].in_memory])
-        pool.drain_async()
-        for index, i in enumerate(ids):  # recovery is transparent
-            assert np.array_equal(pool.get(i).to_numpy(), blocks[index].to_numpy())
-        assert faults.stats.counter("retries") > 0 or faults.stats.counter("faults_injected") > 0
+        for __ in range(2):  # every get restores one entry and evicts another
+            for index, i in enumerate(ids):
+                assert np.array_equal(pool.get(i).to_numpy(),
+                                      blocks[index].to_numpy())
+        assert faults.stats.counter("faults_injected") > 0
+        assert faults.stats.counter("retries") > 0
         pool.close()
-
-    def test_close_stops_worker(self, tmp_path):
-        pool = self._pool(tmp_path, budget=2000)
-        block = compressible_block()
-        pool.put(block, block.memory_size())
-        pool.prefetch([])  # ensures no crash on empty request
-        pool.close()
-        worker = pool._worker
-        assert worker is None or not worker.is_alive()
 
 
 class TestIntegrationWithExecution:

@@ -1,21 +1,21 @@
 """Property tests for the out-of-core buffer pool.
 
 Seeded randomised interleavings of the pool protocol (put/get/pin/unpin/
-update/free/prefetch) over a zoo of block shapes, checked against a
+update/free) over a zoo of block shapes, checked against a
 shadow model.  The invariants:
 
 * **Bitwise round trips** — whatever falls out of ``get`` matches the
   last payload stored for that entry byte-for-byte, through any number
-  of spills, compressed or raw, sync or prefetched.
+  of spills, compressed or raw.
 * **Pins are never evicted** — a pinned entry's payload stays resident.
 * **The budget holds** — outside pinned-overcommit, ``used`` never
   exceeds the budget once an operation completes (restores must make
-  room, prefetch must never overfill).
+  room).
 * **Metadata survives** — nnz / value type / sparsity of a block are
   identical after paging.
 
-Each scenario runs under all four compress×prefetch settings: turning
-the out-of-core machinery on must never change results.
+Each scenario runs with raw and with compressed spills: turning the
+out-of-core machinery on must never change results.
 """
 
 import numpy as np
@@ -66,16 +66,14 @@ def _fingerprint(block):
 
 
 OOC_MODES = [
-    pytest.param(False, False, id="raw-sync"),
-    pytest.param(True, False, id="compressed-sync"),
-    pytest.param(False, True, id="raw-async"),
-    pytest.param(True, True, id="compressed-async"),
+    pytest.param(False, id="raw-sync"),
+    pytest.param(True, id="compressed-sync"),
 ]
 
 
-@pytest.mark.parametrize("compress,prefetch", OOC_MODES)
+@pytest.mark.parametrize("compress", OOC_MODES)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_interleaving_holds_invariants(tmp_path, seed, compress, prefetch):
+def test_random_interleaving_holds_invariants(tmp_path, seed, compress):
     rng = np.random.default_rng(1000 + seed)
     zoo = _block_zoo(rng)
     make_block = lambda: zoo[rng.integers(len(zoo))]()  # noqa: E731
@@ -83,7 +81,7 @@ def test_random_interleaving_holds_invariants(tmp_path, seed, compress, prefetch
     first = make_block()
     budget = first.memory_size() * 3 + 1  # a few blocks worth: forces paging
     pool = BufferPool(budget=budget, spill_dir=str(tmp_path / "spill"),
-                      compress_spills=compress, prefetch=prefetch)
+                      compress_spills=compress)
     shadow = {}  # entry_id -> fingerprint of the last stored payload
     pinned = set()
     entry = pool.put(first, first.memory_size())
@@ -94,7 +92,7 @@ def test_random_interleaving_holds_invariants(tmp_path, seed, compress, prefetch
         return ids[rng.integers(len(ids))]
 
     for _ in range(120):
-        action = rng.integers(7)
+        action = rng.integers(6)
         if action == 0 or not shadow:  # put
             block = make_block()
             eid = pool.put(block, block.memory_size())
@@ -116,15 +114,11 @@ def test_random_interleaving_holds_invariants(tmp_path, seed, compress, prefetch
             block = make_block()
             pool.update(eid, block, block.memory_size())
             shadow[eid] = _fingerprint(block)
-        elif action == 5:  # free
+        else:  # free
             eid = an_id()
             if eid not in pinned and len(shadow) > 1:
                 pool.free(eid)
                 del shadow[eid]
-        else:  # prefetch a random subset (no-op when disabled)
-            ids = list(shadow)
-            take = rng.integers(len(ids)) + 1
-            pool.prefetch([ids[i] for i in rng.integers(len(ids), size=take)])
 
         # -- invariants after every single operation --
         for eid in pinned:
@@ -134,15 +128,14 @@ def test_random_interleaving_holds_invariants(tmp_path, seed, compress, prefetch
             "pool exceeded its budget outside pinned overcommit"
         )
 
-    pool.drain_async(timeout=10.0)
     # final sweep: every surviving entry restores bitwise
     for eid, expected in shadow.items():
         assert _fingerprint(pool.get(eid)) == expected
     pool.close()
 
 
-@pytest.mark.parametrize("compress,prefetch", OOC_MODES)
-def test_budget_never_exceeded_mid_restore(tmp_path, compress, prefetch):
+@pytest.mark.parametrize("compress", OOC_MODES)
+def test_budget_never_exceeded_mid_restore(tmp_path, compress):
     """Cycling gets over a working set ~4x the budget keeps ``used``
     bounded at every step — a restore always makes room first."""
     rng = np.random.default_rng(99)
@@ -152,7 +145,7 @@ def test_budget_never_exceeded_mid_restore(tmp_path, compress, prefetch):
     ]
     size = blocks[0].memory_size()
     pool = BufferPool(budget=size * 2, spill_dir=str(tmp_path / "spill"),
-                      compress_spills=compress, prefetch=prefetch)
+                      compress_spills=compress)
     ids = [pool.put(b, size) for b in blocks]
     for _ in range(3):
         for index, eid in enumerate(ids):
@@ -162,13 +155,13 @@ def test_budget_never_exceeded_mid_restore(tmp_path, compress, prefetch):
     pool.close()
 
 
-@pytest.mark.parametrize("compress,prefetch", OOC_MODES)
-def test_pins_survive_heavy_paging(tmp_path, compress, prefetch):
+@pytest.mark.parametrize("compress", OOC_MODES)
+def test_pins_survive_heavy_paging(tmp_path, compress):
     rng = np.random.default_rng(5)
     pinned_block = BasicTensorBlock.from_numpy(rng.standard_normal((16, 16)))
     size = pinned_block.memory_size()
     pool = BufferPool(budget=size * 3, spill_dir=str(tmp_path / "spill"),
-                      compress_spills=compress, prefetch=prefetch)
+                      compress_spills=compress)
     keep = pool.put(pinned_block, size, pinned=True)
     for _ in range(12):  # churn far past the budget
         filler = BasicTensorBlock.from_numpy(np.full((16, 16), 3.0))

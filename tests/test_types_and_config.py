@@ -64,8 +64,8 @@ class TestReproConfig:
         {"transport_request_timeout_s": 0.0},
         {"heartbeat_interval_s": 0.0},
         {"heartbeat_miss_grace": 0.5},
-        {"tcp_connect_timeout_s": 0.0},
-        {"tcp_reconnect_retries": -1},
+        {"bufferpool_budget_override": 0},
+        {"retry_budget": -1},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
