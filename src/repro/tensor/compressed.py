@@ -1,36 +1,49 @@
-"""Lossless column compression for linear algebra (paper section 3.4).
+"""Lossless column-group compression for linear algebra (paper section 3.4).
 
-A simplified reproduction of Compressed Linear Algebra (CLA, [20] in the
-paper): columns are dictionary-encoded — a small dictionary of distinct
-values plus a per-row code array — and selected linear-algebra operations
-execute directly on the compressed representation:
+A reproduction of Compressed Linear Algebra (CLA, [20] in the paper): a
+block is a list of *column groups*, and selected linear-algebra operations
+execute directly on them.  A group is
 
-* ``matvec`` (``X %*% v``): per column, the contribution is a dictionary
-  lookup scaled by ``v[j]`` — no decompression;
-* ``vecmat`` (``t(X) %*% v``): the CLA headline trick — ``bincount`` the
-  codes weighted by ``v`` once per column, then one tiny dot with the
-  dictionary (O(n + #distinct) instead of O(n) multiply-adds with reads
-  of decompressed values);
-* ``matmult_dense`` / ``t_matmult_dense``: matmul with a dense right-hand
-  side, one (#distinct x k) dictionary product per column — the
-  decompressed left operand is never materialised;
-* ``col_sums``, full aggregates (sum/min/max/mean) and elementwise scalar
-  ops: run on the dictionary only, O(#distinct) per column.
+* its column indexes,
+* a ``(d x c)`` dictionary of the distinct value tuples its rows take, and
+* one code vector naming each row's tuple (``uint8`` when d <= 256,
+  ``uint16`` when d <= 2**16).
 
-Columns whose dictionaries would not pay for themselves stay uncompressed
-(an "uncompressed column group"), mirroring CLA's per-group decisions.
+Two groups carry no code vector: a *constant* group has a one-row
+dictionary every row shares (a constant block is one such group), and the
+*uncompressed* group holds the high-cardinality columns as they are — its
+"dictionary" has one row per matrix row.
 
-Two properties matter for the buffer pool, which (PR 9) spills eligible
-blocks in this format:
+Compression is CLA's greedy co-coding.  Each column is dictionary-encoded
+on its own; then, in ascending cardinality, a column joins the open group
+while the exact joint dictionary keeps the merged group no larger than
+the two groups apart (16-level columns pair up into 256-tuple ``uint8``
+groups; a third column would need ~3500 tuples and is refused).
+
+Each kernel is one NumPy step per group, never a loop over columns:
+
+* ``matmult_dense`` / ``matvec`` (``X %*% B``): scale the dictionary by
+  B's matching rows — a (d x k) product — then gather it through the codes;
+* ``t_matmult_dense`` / ``vecmat`` (``t(X) %*% B``): one weighted
+  ``bincount`` of B's rows by code, then one small dot with the
+  dictionary (pre-aggregation over distinct tuples, O(n + d) per group);
+* ``col_sums``, full aggregates (sum/min/max/mean), ``nnz`` and
+  elementwise scalar ops: on the dictionaries, reusing the codes.
+
+Two properties matter for the buffer pool, which spills eligible blocks
+in this format:
 
 * **Bit-exactness.**  Dictionaries are built over the *uint64 bit
   patterns* of the float64 cells, not their numeric values: ``-0.0`` vs
   ``0.0`` and distinct NaN payloads survive a compress/decompress round
   trip bit-for-bit, which is what lets chaos lattice configs compare
   spilled runs bitwise against in-memory baselines.
-* **Metadata.**  A block's ``value_type`` and ``nnz`` ride along (and
-  through pickle), so a restore can seed the dense nnz cache instead of
-  rescanning the decompressed array.
+* **A flat pickle.**  A block pickles as a handful of arrays (all column
+  indexes, all dictionaries, all ``uint8`` codes, all ``uint16`` codes,
+  one row of sizes per group) and restores as views into them: per-group
+  arrays would make every restore pay one pickle record per group.
+  The block's ``value_type`` and ``nnz`` ride along, so a restore can
+  seed the dense nnz cache instead of rescanning the decompressed array.
 
 :class:`CompressedStore` adapts a :class:`CompressedBlock` to the
 ``BasicTensorBlock`` store protocol: a restored block stays compressed
@@ -41,8 +54,7 @@ compressed form directly.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,6 +64,10 @@ from repro.types import ValueType
 
 #: Columns with more distinct values than this fraction of rows stay dense.
 _MAX_DISTINCT_FRACTION = 0.5
+
+#: Largest dictionary a code vector addresses (``uint16`` codes); also
+#: bounds the joint-key space a co-coding merge may probe.
+_MAX_DISTINCT = 1 << 16
 
 #: Which operations may run directly on a compressed block.  Keys are
 #: ``"<kind>:<op>"``; anything absent (or False) falls back to lazy
@@ -68,7 +84,7 @@ COMPRESSED_OP_ELIGIBILITY: Dict[str, bool] = {
     "scalar:*": True,
     "scalar:/": True,
     "scalar:^": True,
-    # full aggregates: O(#distinct) per column via code histograms
+    # full aggregates: O(#distinct) per group via code histograms
     "agg:sum": True,
     "agg:min": True,
     "agg:max": True,
@@ -87,204 +103,159 @@ COMPRESSED_OP_ELIGIBILITY: Dict[str, bool] = {
     "matmult:tsmm": False,
 }
 
+#: One column group: ``(column indexes, (d x c) dictionary, codes)``;
+#: codes is None for a constant group (d == 1) and the uncompressed group
+#: (d == #rows), whose dictionaries broadcast to the rows as they are.
+Group = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
 
 def compressed_eligible(kind: str, op: str) -> bool:
     """True when ``op`` may execute on the compressed representation."""
     return COMPRESSED_OP_ELIGIBILITY.get(f"{kind}:{op}", False)
 
 
-@dataclasses.dataclass
-class DictColumn:
-    """One dictionary-encoded column: values[codes] reconstructs it."""
-
-    values: np.ndarray  # (d,) distinct values
-    codes: np.ndarray  # (n,) uint indexes into values
-
-    def memory_size(self) -> int:
-        return int(self.values.nbytes + self.codes.nbytes)
-
-    def decompress(self) -> np.ndarray:
-        return self.values[self.codes]
-
-    def count_nonzero(self) -> int:
-        """Non-zero cells without decompressing (code histogram)."""
-        zero_values = self.values == 0.0
-        if not zero_values.any():
-            return int(self.codes.shape[0])
-        counts = np.bincount(self.codes, minlength=len(self.values))
-        return int(self.codes.shape[0] - counts[zero_values].sum())
+def _group_bytes(num_rows: int, distinct: int, width: int) -> int:
+    """Memory of a dictionary group of ``width`` columns."""
+    codes = 0 if distinct == 1 else num_rows * (1 if distinct <= 256 else 2)
+    return distinct * width * 8 + codes
 
 
-@dataclasses.dataclass
-class DenseColumn:
-    """An uncompressed column group (dictionary would not pay off)."""
-
-    data: np.ndarray  # (n,)
-
-    def memory_size(self) -> int:
-        return int(self.data.nbytes)
-
-    def decompress(self) -> np.ndarray:
-        return self.data
-
-    def count_nonzero(self) -> int:
-        return int(np.count_nonzero(self.data))
-
-
-Column = Union[DictColumn, DenseColumn]
+def _as_rhs(rhs, rows: int, kernel: str) -> np.ndarray:
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim == 1:
+        rhs = rhs.reshape(-1, 1)
+    if rhs.shape[0] != rows:
+        raise ValueError(f"{kernel} expects {rows} RHS rows, got {rhs.shape[0]}")
+    return rhs
 
 
 class CompressedBlock:
-    """A column-compressed matrix supporting compressed-space operations."""
+    """A column-group-compressed matrix supporting compressed-space operations."""
 
-    def __init__(self, columns: List[Column], num_rows: int,
+    def __init__(self, groups: List[Group], num_rows: int, num_cols: int,
                  value_type: ValueType = ValueType.FP64,
                  nnz: Optional[int] = None):
-        self._columns: Optional[List[Column]] = columns
-        self._num_cols = len(columns)
+        self.groups = groups
         self.num_rows = num_rows
+        self.num_cols = num_cols
         #: Value type of the source block (compression coerces to FP64;
         #: the recorded type is what a restore reconstructs).
         self.value_type = value_type
         #: Non-zero count of the source block, carried through spills so
         #: restores seed the dense nnz cache instead of rescanning.
         self._nnz = nnz
-        #: Set by the vectorised encoders: ``(values, codes2d)`` when all
-        #: columns share one global dictionary (codes2d is Fortran-order,
-        #: the columns are views of it), ``(values, None)`` for a constant
-        #: block (implicit all-zero codes).  Enables single-gather
-        #: decompression and a compact pickle form; None for blocks built
-        #: by the per-column encoder.
-        self._dict: Optional[Tuple[np.ndarray, Optional[np.ndarray]]] = None
 
     # --- construction -----------------------------------------------------------
 
     @classmethod
     def compress(cls, block: BasicTensorBlock) -> "CompressedBlock":
-        """Compress a matrix block column by column (lossless, bit-exact).
+        """Compress a matrix block into co-coded column groups (lossless,
+        bit-exact).
 
         Dictionaries are keyed on the uint64 *bit patterns* of the float64
         cells: ``np.unique`` over raw floats would collapse ``-0.0`` into
         ``0.0`` and canonicalise NaN payloads, breaking the bitwise
         spill/restore invariant the buffer pool relies on.
-
-        Encoding is tiered for spill-path latency: a constant block is
-        recognised with one vectorised comparison, a low-cardinality block
-        gets a single *global* dictionary from one ``np.unique`` over the
-        whole array (columns become views of a shared code matrix), and
-        only blocks with high-cardinality columns fall back to the
-        per-column encoder that keeps those columns dense.
         """
         data = block.to_numpy().astype(np.float64, copy=False)
         if data.ndim != 2:
             raise ValueError("compression requires a 2D block")
-        data = np.ascontiguousarray(data)
         n, m = data.shape
-        bits = data.view(np.uint64)
         nnz = int(block.nnz)
-        flat = bits.ravel()
+        bits = np.ascontiguousarray(data).view(np.uint64)
+        if n * m == 0 or (bits == bits[0, 0]).all():
+            # constant block: one comparison, one dictionary row
+            return cls([(np.arange(m), data[:1].copy(), None)], n, m, ValueType.FP64, nnz)
 
-        # tier 1: constant block — one comparison, nothing but the value
-        if n * m > 0 and (flat == flat[0]).all():
-            values = flat[:1].copy().view(np.float64)
-            shared_codes = np.zeros(n, dtype=np.uint8)
-            columns = [DictColumn(values, shared_codes) for _ in range(m)]
-            result = cls(columns, n, ValueType.FP64, nnz)
-            result._dict = (values, None)
-            return result
+        # per-column dictionaries from one row-wise sort of the transposed
+        # bits: ``first`` marks each column's distinct values in sorted
+        # order, its running count is the code, scattered back to rows
+        column_bits = np.ascontiguousarray(bits.T)
+        order = np.argsort(column_bits, axis=1)
+        order += np.arange(0, n * m, n)[:, None]
+        sorted_bits = column_bits.ravel()[order]
+        first = np.empty((m, n), dtype=bool)
+        first[:, 0] = True
+        np.not_equal(sorted_bits[:, 1:], sorted_bits[:, :-1], out=first[:, 1:])
+        distinct = first.sum(axis=1)
+        offsets = np.cumsum(distinct) - distinct
+        uniques = sorted_bits[first].view(np.float64)
+        ranks = np.cumsum(first, axis=1, dtype=np.int32)
+        ranks -= 1
+        codes = np.empty((m, n), dtype=np.int32)
+        codes.ravel()[order.ravel()] = ranks.ravel()
+        del column_bits, order, sorted_bits, first, ranks
 
-        # tier 2: one global dictionary when every column is guaranteed
-        # below the distinct-fraction cap (global distinct <= cap implies
-        # per-column distinct <= cap)
-        unique_bits, codes = np.unique(flat, return_inverse=True)
-        K = len(unique_bits)
-        if K <= max(1, int(n * _MAX_DISTINCT_FRACTION)):
-            code_dtype = np.uint8 if K <= 256 else (
-                np.uint16 if K <= 65536 else np.uint32
-            )
-            values = unique_bits.view(np.float64)
-            codes2d = np.asfortranarray(
-                codes.reshape(n, m).astype(code_dtype)
-            )
-            # per-column dictionaries stay *minimal* (a constant column
-            # keeps a 1-entry dictionary): derive which global values each
-            # column actually uses with one bincount + cumsum remap
-            # instead of m per-column sorts
-            keys = codes2d.astype(np.int64) + np.arange(m, dtype=np.int64) * K
-            used = np.bincount(keys.ravel(), minlength=m * K).reshape(m, K) > 0
-            if used.all():
-                columns = [DictColumn(values, codes2d[:, j]) for j in range(m)]
+        # greedy co-coding in ascending cardinality: a column joins the open
+        # group when the exact joint dictionary (the joint keys that occur)
+        # is no larger than the two groups apart.  A group is planned as its
+        # columns, its tuples of per-column codes and its row codes.
+        cap = min(max(1, int(n * _MAX_DISTINCT_FRACTION)), _MAX_DISTINCT)
+        by_card = np.argsort(distinct, kind="stable")
+        split = np.searchsorted(distinct[by_card], cap, side="right")
+        plans: List[Tuple[List[int], np.ndarray, np.ndarray]] = []
+        for j in by_card[:split].tolist():
+            d_j = int(distinct[j])
+            if plans:
+                cols, tuples, group_codes = plans[-1]
+                d = len(tuples)
+                if d * d_j <= _MAX_DISTINCT:
+                    keys = group_codes * d_j + codes[j]
+                    used = np.bincount(keys, minlength=d * d_j) > 0
+                    joint = np.flatnonzero(used)
+                    if (len(joint) <= cap and _group_bytes(n, len(joint), len(cols) + 1)
+                            <= _group_bytes(n, d, len(cols)) + _group_bytes(n, d_j, 1)):
+                        plans[-1] = (cols + [j],
+                                     np.column_stack([tuples[joint // d_j], joint % d_j]),
+                                     (np.cumsum(used) - 1)[keys])
+                        continue
+            plans.append(([j], np.arange(d_j).reshape(-1, 1), codes[j].astype(np.intp)))
+
+        groups: List[Group] = []
+        for cols, tuples, group_codes in plans:
+            dictionary = uniques[offsets[cols] + tuples]
+            if len(dictionary) == 1:
+                group_codes = None
             else:
-                remap = (np.cumsum(used, axis=1) - 1).astype(code_dtype)
-                columns = [
-                    DictColumn(values[used[j]],
-                               np.ascontiguousarray(remap[j][codes2d[:, j]]))
-                    for j in range(m)
-                ]
-            result = cls(columns, n, ValueType.FP64, nnz)
-            result._dict = (values, codes2d)
-            return result
-
-        # tier 3: per-column dictionaries, dense fallback per column
-        columns: List[Column] = []
-        for j in range(m):
-            column = np.ascontiguousarray(data[:, j])
-            col_bits = column.view(np.uint64)
-            unique_bits, codes = np.unique(col_bits, return_inverse=True)
-            if len(unique_bits) > max(1, int(n * _MAX_DISTINCT_FRACTION)):
-                columns.append(DenseColumn(column.copy()))
-                continue
-            code_dtype = np.uint8 if len(unique_bits) <= 256 else (
-                np.uint16 if len(unique_bits) <= 65536 else np.uint32
-            )
-            values = unique_bits.view(np.float64)
-            columns.append(DictColumn(values, codes.astype(code_dtype)))
-        return cls(columns, n, ValueType.FP64, nnz)
+                group_codes = group_codes.astype(np.uint8 if len(dictionary) <= 256 else np.uint16)
+            groups.append((np.asarray(cols), dictionary, group_codes))
+        dense = by_card[split:]  # past the cap: one uncompressed group
+        if len(dense):
+            groups.append((dense, data[:, dense], None))
+        return cls(groups, n, m, ValueType.FP64, nnz)
 
     # --- pickling ----------------------------------------------------------------
-    # The shared-dictionary forms serialise as one values array plus one
-    # code matrix (or nothing, for constants) instead of per-column
-    # objects: spill blobs stay small and fast to build either way.
 
     def __getstate__(self):
-        if self._dict is not None:
-            values, codes2d = self._dict
-            return ("shared", values, codes2d, self.num_rows,
-                    self._num_cols, self.value_type, self._nnz)
-        return ("columns", self.columns, self.num_rows,
-                self.value_type, self._nnz)
+        codes = [c for __, __, c in self.groups if c is not None]
+        return (
+            self.num_rows, self.num_cols, self.value_type, self._nnz,
+            np.array([(len(dictionary), len(cols), 0 if c is None else c.itemsize)
+                      for cols, dictionary, c in self.groups], dtype=np.int64).reshape(-1, 3),
+            np.concatenate([np.empty(0, np.intp)] + [cols for cols, __, __ in self.groups]),
+            np.concatenate([np.empty(0)] + [d.ravel() for __, d, __ in self.groups]),
+            np.concatenate([np.empty(0, np.uint8)] + [c for c in codes if c.itemsize == 1]),
+            np.concatenate([np.empty(0, np.uint16)] + [c for c in codes if c.itemsize == 2]),
+        )
 
     def __setstate__(self, state) -> None:
-        if state[0] == "shared":
-            __, values, codes2d, self.num_rows, m, self.value_type, self._nnz = state
-            self._dict = (values, codes2d)
-            self._num_cols = m
-            # column views rebuild lazily: the common restore path (lazy
-            # inflation to dense) reads the global form and never needs them
-            self._columns = None
-        else:
-            __, self._columns, self.num_rows, self.value_type, self._nnz = state
-            self._num_cols = len(self._columns)
-            self._dict = None
-
-    @property
-    def columns(self) -> List[Column]:
-        if self._columns is None:
-            values, codes2d = self._dict
-            if codes2d is None:
-                shared_codes = np.zeros(self.num_rows, dtype=np.uint8)
-                self._columns = [DictColumn(values, shared_codes)
-                                 for _ in range(self._num_cols)]
-            else:
-                self._columns = [DictColumn(values, codes2d[:, j])
-                                 for j in range(self._num_cols)]
-        return self._columns
+        (self.num_rows, self.num_cols, self.value_type, self._nnz,
+         sizes, cols, values, codes8, codes16) = state
+        n = self.num_rows
+        self.groups = []
+        col_at = value_at = 0
+        code_at = {1: 0, 2: 0}
+        for d, c, width in sizes.tolist():
+            codes = None
+            if width:
+                codes = (codes8 if width == 1 else codes16)[code_at[width]:code_at[width] + n]
+                code_at[width] += n
+            dictionary = values[value_at:value_at + d * c].reshape(d, c)
+            self.groups.append((cols[col_at:col_at + c], dictionary, codes))
+            col_at += c
+            value_at += d * c
 
     # --- metadata ---------------------------------------------------------------------
-
-    @property
-    def num_cols(self) -> int:
-        return self._num_cols
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -294,138 +265,84 @@ class CompressedBlock:
     def nnz(self) -> int:
         """Non-zero cells, computed compressed-space on first use."""
         if self._nnz is None:
-            self._nnz = sum(column.count_nonzero() for column in self.columns)
+            nonzero = self._map(lambda values: (values != 0).astype(np.float64))
+            self._nnz = int(nonzero.sum())
         return self._nnz
 
     def memory_size(self) -> int:
-        if self._dict is not None:
-            # shared dictionary: count values once, not once per column
-            values, codes2d = self._dict
-            codes_bytes = codes2d.nbytes if codes2d is not None else self.num_rows
-            return int(values.nbytes + codes_bytes)
-        return sum(column.memory_size() for column in self.columns)
+        return sum(dictionary.nbytes + (0 if codes is None else codes.nbytes)
+                   for __, dictionary, codes in self.groups)
 
     def compression_ratio(self) -> float:
         """Dense bytes divided by compressed bytes (higher is better)."""
         dense = self.num_rows * self.num_cols * 8
         return dense / max(self.memory_size(), 1)
 
-    def num_compressed_columns(self) -> int:
-        return sum(1 for column in self.columns if isinstance(column, DictColumn))
-
     # --- compressed-space operations ------------------------------------------------------
 
     def to_dense_array(self) -> np.ndarray:
         """The exact dense float64 array (bit-for-bit the compressed input)."""
-        if self._dict is not None:
-            values, codes2d = self._dict
-            if codes2d is None:
-                # constant block: broadcast the 1-element dictionary (array
-                # assignment, not a Python scalar round trip — NaN payloads
-                # and -0.0 keep their bits)
-                out = np.empty((self.num_rows, self.num_cols), dtype=np.float64)
-                out[...] = values[:1]
-                return out
-            return np.ascontiguousarray(values[codes2d])
-        out = np.empty((self.num_rows, self.num_cols), dtype=np.float64)
-        for j, column in enumerate(self.columns):
-            out[:, j] = column.decompress()
-        return out
-
-    def to_dense_store(self) -> DenseStore:
-        """A dense store with the nnz cache seeded from the metadata."""
-        return DenseStore(self.to_dense_array(), self.value_type, self._nnz)
+        # filled column-major (each group's gather lands in whole rows of
+        # the transpose), by copies only: NaN payloads and -0.0 keep their bits
+        out = np.empty((self.num_cols, self.num_rows), dtype=np.float64)
+        for cols, dictionary, codes in self.groups:
+            out[cols] = (dictionary if codes is None else dictionary.take(codes, axis=0)).T
+        return np.ascontiguousarray(out.T)
 
     def decompress(self) -> BasicTensorBlock:
         return BasicTensorBlock.from_numpy(self.to_dense_array())
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """``X %*% v`` without decompressing (v: (m,) or (m, 1))."""
-        weights = np.asarray(v, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != self.num_cols:
-            raise ValueError(f"matvec expects length {self.num_cols}, got {weights.shape[0]}")
-        out = np.zeros(self.num_rows)
-        for column, weight in zip(self.columns, weights):
-            if weight == 0.0:
-                continue
-            if isinstance(column, DictColumn):
-                out += (column.values * weight)[column.codes]
-            else:
-                out += column.data * weight
-        return out.reshape(-1, 1)
+        return self.matmult_dense(v)
 
     def vecmat(self, v: np.ndarray) -> np.ndarray:
         """``t(X) %*% v`` via code-weighted bincounts (the CLA trick)."""
-        weights = np.asarray(v, dtype=np.float64).reshape(-1)
-        if weights.shape[0] != self.num_rows:
-            raise ValueError(f"vecmat expects length {self.num_rows}, got {weights.shape[0]}")
-        out = np.zeros(self.num_cols)
-        for j, column in enumerate(self.columns):
-            if isinstance(column, DictColumn):
-                bucket_weights = np.bincount(
-                    column.codes, weights=weights, minlength=len(column.values)
-                )
-                out[j] = float(bucket_weights @ column.values)
-            else:
-                out[j] = float(column.data @ weights)
-        return out.reshape(-1, 1)
+        return self.t_matmult_dense(v)
 
     def matmult_dense(self, rhs: np.ndarray) -> np.ndarray:
-        """``X %*% B`` with a dense RHS, never materialising dense X.
-
-        Per column the contribution is an outer product of the dictionary
-        with one RHS row, gathered through the codes: a (#distinct x k)
-        temporary instead of the (n x m) decompressed operand.
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 1:
-            rhs = rhs.reshape(-1, 1)
-        if rhs.shape[0] != self.num_cols:
-            raise ValueError(
-                f"matmult_dense expects {self.num_cols} RHS rows, got {rhs.shape[0]}"
-            )
-        if rhs.shape[1] == 1:
-            return self.matvec(rhs)
+        """``X %*% B`` with a dense RHS, never materialising dense X: per
+        group a (d x k) scaled dictionary, gathered through the codes."""
+        rhs = _as_rhs(rhs, self.num_cols, "matmult_dense")
         out = np.zeros((self.num_rows, rhs.shape[1]))
-        for j, column in enumerate(self.columns):
-            if isinstance(column, DictColumn):
-                out += np.outer(column.values, rhs[j])[column.codes]
-            else:
-                out += np.outer(column.data, rhs[j])
+        for cols, dictionary, codes in self.groups:
+            scaled = dictionary @ rhs[cols]
+            out += scaled if codes is None else scaled.take(codes, axis=0)
         return out
 
     def t_matmult_dense(self, rhs: np.ndarray) -> np.ndarray:
-        """``t(X) %*% B`` with a dense RHS: one weighted bincount per
-        (column, RHS column) pair, then tiny dictionary dots."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim == 1:
-            rhs = rhs.reshape(-1, 1)
-        if rhs.shape[0] != self.num_rows:
-            raise ValueError(
-                f"t_matmult_dense expects {self.num_rows} RHS rows, got {rhs.shape[0]}"
-            )
-        out = np.zeros((self.num_cols, rhs.shape[1]))
-        for j, column in enumerate(self.columns):
-            if isinstance(column, DictColumn):
-                d = len(column.values)
-                for c in range(rhs.shape[1]):
-                    bucket = np.bincount(
-                        column.codes, weights=rhs[:, c], minlength=d
-                    )
-                    out[j, c] = float(bucket @ column.values)
+        """``t(X) %*% B`` with a dense RHS: per group one weighted bincount
+        of B's rows by code, then one (c x d) @ (d x k) dictionary dot."""
+        rhs = _as_rhs(rhs, self.num_rows, "t_matmult_dense")
+        k = rhs.shape[1]
+        out = np.empty((self.num_cols, k))
+        for cols, dictionary, codes in self.groups:
+            d = len(dictionary)
+            if codes is not None:
+                # key (code, rhs column) so one bincount sums all k columns
+                keys = codes if k == 1 else (
+                    codes.astype(np.intp)[:, None] * k + np.arange(k)).ravel()
+                summed = np.bincount(keys, weights=rhs.ravel(), minlength=d * k).reshape(d, k)
             else:
-                out[j] = column.data @ rhs
+                summed = rhs if d == self.num_rows else rhs.sum(axis=0, keepdims=True)
+            out[cols] = dictionary.T @ summed
+        if not np.isfinite(out).all():
+            # x * sum(w) equals sum(x * w) only for finite x (Inf with
+            # mixed-sign weights is NaN densely): redo non-finite groups
+            for cols, dictionary, codes in self.groups:
+                if not np.isfinite(out[cols]).all():
+                    rows = (np.broadcast_to(dictionary, (self.num_rows, len(cols)))
+                            if codes is None else dictionary[codes])
+                    out[cols] = rows.T @ rhs
         return out
 
     def col_sums(self) -> np.ndarray:
-        out = np.zeros(self.num_cols)
-        for j, column in enumerate(self.columns):
-            if isinstance(column, DictColumn):
-                counts = np.bincount(column.codes, minlength=len(column.values))
-                out[j] = float(counts @ column.values)
-            else:
-                out[j] = float(column.data.sum())
-        return out.reshape(1, -1)
+        return self.t_matmult_dense(np.ones(self.num_rows)).reshape(1, -1)
+
+    def _map(self, func: Callable[[np.ndarray], np.ndarray]) -> "CompressedBlock":
+        """The block with ``func`` applied to every dictionary, codes shared."""
+        groups = [(cols, func(dictionary), codes) for cols, dictionary, codes in self.groups]
+        return CompressedBlock(groups, self.num_rows, self.num_cols, ValueType.FP64, None)
 
     def scalar_op(self, op: str, scalar: float,
                   scalar_left: bool = False) -> "CompressedBlock":
@@ -440,40 +357,17 @@ class CompressedBlock:
         func = funcs.get(op)
         if func is None:
             raise ValueError(f"unsupported compressed scalar op {op!r}")
-        if self._dict is not None:
-            # shared dictionary: O(#distinct) per column on tiny value
-            # arrays, code arrays reused by identity; the same elementwise
-            # op on the same bits gives the same bits, so the global form
-            # stays consistent with the per-column dictionaries
-            values, codes2d = self._dict
-            columns = [DictColumn(func(column.values), column.codes)
-                       for column in self.columns]
-            result = CompressedBlock(columns, self.num_rows, ValueType.FP64, None)
-            result._dict = (func(values), codes2d)
-            return result
-        columns: List[Column] = []
-        for column in self.columns:
-            if isinstance(column, DictColumn):
-                columns.append(DictColumn(func(column.values), column.codes))
-            else:
-                columns.append(DenseColumn(func(column.data)))
-        return CompressedBlock(columns, self.num_rows, ValueType.FP64, None)
+        return self._map(func)
 
     def sum(self) -> float:
         return float(self.col_sums().sum())
 
     def min(self) -> float:
-        """Full min over dictionaries (every dictionary value occurs)."""
-        return float(np.min([
-            np.min(column.values if isinstance(column, DictColumn) else column.data)
-            for column in self.columns
-        ]))
+        """Full min over dictionaries (every dictionary row occurs)."""
+        return float(np.min([dictionary.min() for __, dictionary, __ in self.groups]))
 
     def max(self) -> float:
-        return float(np.max([
-            np.max(column.values if isinstance(column, DictColumn) else column.data)
-            for column in self.columns
-        ]))
+        return float(np.max([dictionary.max() for __, dictionary, __ in self.groups]))
 
     def mean(self) -> float:
         return self.sum() / (self.num_rows * self.num_cols)
@@ -482,7 +376,7 @@ class CompressedBlock:
         return (
             f"CompressedBlock({self.num_rows}x{self.num_cols},"
             f" ratio={self.compression_ratio():.1f}x,"
-            f" dict_cols={self.num_compressed_columns()})"
+            f" groups={len(self.groups)})"
         )
 
 
@@ -550,10 +444,12 @@ class CompressedStore:
 
     def get(self, index):
         row, col = (int(index[0]), int(index[1])) if len(index) == 2 else (int(index[0]), 0)
-        column = self.block.columns[col]
-        if isinstance(column, DictColumn):
-            return float(column.values[column.codes[row]])
-        return float(column.data[row])
+        for cols, dictionary, codes in self.block.groups:
+            position = np.flatnonzero(cols == col)
+            if len(position):
+                entry = codes[row] if codes is not None else (row if len(dictionary) > 1 else 0)
+                return float(dictionary[entry, position[0]])
+        raise IndexError(f"column {col} out of range for {self.block.num_cols} columns")
 
     def set(self, index, value) -> None:
         raise TypeError(

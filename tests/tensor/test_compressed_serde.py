@@ -1,9 +1,12 @@
 """Serialisation of compressed blocks (the buffer pool's spill format).
 
-The spill path pickles ``CompressedBlock`` instances; these tests pin down
-that the round trip is bitwise (dictionaries are uint64 bit patterns, so
--0.0 and NaN payloads survive) and that the metadata the runtime relies on
-(nnz, value type) is carried through instead of being recounted from the
+The spill path pickles ``CompressedBlock`` instances as a few flat arrays
+(column indexes, dictionaries, uint8 and uint16 codes, per-group sizes);
+these tests pin down that the round trip is bitwise for every kind of
+column group — co-coded dictionary groups, constant groups and the
+uncompressed group (dictionaries are uint64 bit patterns, so -0.0 and NaN
+payloads survive) — and that the metadata the runtime relies on (nnz,
+value type) is carried through instead of being recounted from the
 decompressed array.
 """
 
@@ -26,10 +29,16 @@ class TestPickleRoundTrip:
     @pytest.mark.parametrize(
         "array",
         [
-            np.tile(np.arange(4.0), (32, 8)),                 # RLE-friendly
-            np.zeros((16, 16)),                               # constant
+            np.tile(np.arange(4.0), (32, 8)),                 # co-coded groups
+            np.zeros((16, 16)),                               # constant block
             np.tile(np.array([0.0, -0.0, np.nan, 2.5]), (16, 4)),  # edge values
             np.eye(12) * 7.0,                                 # mostly zero
+            np.column_stack([                                 # every group kind
+                np.full(600, 3.0),                            # constant column
+                np.arange(600.0) % 300,                       # uint16 codes
+                np.arange(600.0) % 5,                         # uint8 codes
+                np.random.default_rng(0).random(600),         # uncompressed
+            ]),
         ],
     )
     def test_bitwise_roundtrip(self, array):
