@@ -261,6 +261,7 @@ def main(argv=None) -> int:
         print(registry.report(top_k=top_k), file=sys.stderr)
         if args.stats_json:
             snapshot = registry.snapshot(top_k)
+            snapshot["metrics"] = dict(results.metrics)
             with open(args.stats_json, "w", encoding="utf-8") as out:
                 out.write(obs.render_json(snapshot))
     return 0

@@ -10,7 +10,10 @@ the instruction sequence with fresh operator selections.
 Because the generated plan depends only on the *statistics* of the read
 variables (data type, dims, nnz), recompiled instruction sequences are
 cached per (block, statistics signature): a loop whose inputs keep their
-shapes pays for recompilation once, not per iteration.
+shapes pays for recompilation once, not per iteration.  Dims are exact
+(they fold into literals); nnz enters key *and* recompile as its
+:func:`nnz_class`, so a cached plan is exactly what a cold recompile
+would produce, and a loop whose active set drifts in sparsity keeps it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Tuple
 
 from repro.compiler.blocks import BasicBlock
 from repro.compiler.builder import DagBuilder
+from repro.compiler.codegen import _SPARSE_GUARD
 from repro.compiler.instgen import generate_instructions
 from repro.compiler.rewrites import apply_dynamic_rewrites, apply_rewrites
 from repro.compiler.sizes import VarStats, propagate_dag
@@ -30,6 +34,7 @@ from repro.runtime.data import (
     MatrixObject,
     ScalarObject,
 )
+from repro.tensor.block import SPARSITY_TURN_POINT
 from repro.types import DataType
 
 _CACHE_LOCK = threading.Lock()
@@ -41,8 +46,32 @@ _PLAN_CACHE: "weakref.WeakKeyDictionary[BasicBlock, Dict[Tuple, List]]" = (
 _MAX_PLANS_PER_BLOCK = 32
 
 
+def nnz_class(rows: int, cols: int, nnz: int) -> int:
+    """The upper bound of the nnz class the compiler cannot tell apart.
+
+    The compiler reads nnz only through the sparsity thresholds of
+    ``output_memory`` (``SPARSITY_TURN_POINT``) and codegen's
+    ``_SPARSE_GUARD``, plus the sparse memory estimate against the
+    operator budget.  Unknown (-1) and empty (0) stay exact; at or above
+    the turn point the class is the dense cell count; below it nnz rounds
+    up to a power of two, capped just under the next threshold — so no
+    threshold decision flips and the sparse estimate at most doubles.
+    """
+    cells = rows * cols
+    if nnz <= 0 or cells <= 0:
+        return nnz
+    sparsity = nnz / cells
+    if sparsity >= SPARSITY_TURN_POINT:
+        return cells
+    bound = _SPARSE_GUARD if sparsity < _SPARSE_GUARD else SPARSITY_TURN_POINT
+    cap = max(nnz, int(bound * cells))
+    while cap / cells >= bound:
+        cap -= 1
+    return min(1 << (nnz - 1).bit_length(), cap)
+
+
 def stats_from_symbol_table(ctx) -> Dict[str, VarStats]:
-    """Exact statistics of all live variables of one execution context."""
+    """Live-variable statistics: dims exact, nnz as its :func:`nnz_class`."""
     stats: Dict[str, VarStats] = {}
     for name, value in ctx.variables.items():
         if isinstance(value, ScalarObject):
@@ -50,7 +79,8 @@ def stats_from_symbol_table(ctx) -> Dict[str, VarStats]:
         elif isinstance(value, MatrixObject):
             stats[name] = VarStats(
                 value.data_type, value.value_type,
-                value.num_rows, value.num_cols, value.nnz,
+                value.num_rows, value.num_cols,
+                nnz_class(value.num_rows, value.num_cols, value.nnz),
             )
         elif isinstance(value, FrameObject):
             stats[name] = VarStats(
@@ -69,8 +99,8 @@ def _live_signature(names: Tuple[str, ...], variables: Dict) -> Tuple:
     this sits on the per-iteration hot path of every loop (plan-cache
     lookups happen before each basic-block execution), so it avoids the
     full ``stats_from_symbol_table`` materialization on cache hits.  The
-    tuples mirror ``VarStats`` field-for-field so equal statistics always
-    map to equal keys.
+    tuples mirror ``VarStats`` field-for-field (nnz as its
+    :func:`nnz_class`) so equal statistics always map to equal keys.
     """
     parts = []
     for name in names:
@@ -82,7 +112,8 @@ def _live_signature(names: Tuple[str, ...], variables: Dict) -> Tuple:
         elif isinstance(value, MatrixObject):
             parts.append(
                 (name, DataType.MATRIX.value, value.value_type.value,
-                 value.num_rows, value.num_cols, value.nnz)
+                 value.num_rows, value.num_cols,
+                 nnz_class(value.num_rows, value.num_cols, value.nnz))
             )
         elif isinstance(value, FrameObject):
             schema = value.frame.schema
@@ -115,11 +146,13 @@ def recompile_basic_block(block: BasicBlock, ctx) -> List:
         if plans is not None:
             cached = plans.get(signature)
             if cached is not None:
+                ctx.metrics["plan_cache_hits"] += 1
                 return cached
+    ctx.metrics["recompiles"] += 1
     stats = stats_from_symbol_table(ctx)
     traces = getattr(ctx, "traces", None)
     if traces is not None:
-        # plan-cache miss: the block's shapes drifted, so any compiled
+        # plan-cache miss: the block's statistics drifted, so any compiled
         # trace over a previous plan of this block is stale
         traces.on_recompile(block)
     builder = DagBuilder(ctx.program.ast_functions)

@@ -14,6 +14,7 @@ import os
 from typing import Dict, Optional, Sequence
 
 from repro.compiler import hops as H
+from repro.tensor.block import SPARSITY_TURN_POINT
 from repro.types import DataType, Direction, ValueType
 
 
@@ -400,8 +401,7 @@ def output_memory(hop: H.Hop) -> float:
     if not hop.dims_known:
         return float("inf")
     if hop.nnz_known and hop.rows * hop.cols > 0:
-        sparsity = hop.nnz / (hop.rows * hop.cols)
-        if sparsity < 0.4:
+        if hop.sparsity < SPARSITY_TURN_POINT:
             return hop.nnz * 12.0 + hop.rows * 8.0
     return _dense_size(hop.rows, hop.cols)
 

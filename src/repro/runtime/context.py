@@ -106,6 +106,7 @@ class ExecutionContext:
             "collects": 0,
             "bytes_collected": 0,
             "recompiles": 0,
+            "plan_cache_hits": 0,
             "fcalls": 0,
         }
         self._seed_state = (config.random_seed * 2654435761 + 1) % (2**63)

@@ -156,7 +156,6 @@ def _execute_basic(block: BasicBlock, ctx: ExecutionContext) -> None:
         from repro.compiler.recompile import recompile_basic_block
 
         instructions = recompile_basic_block(block, ctx)
-        ctx.metrics["recompiles"] += 1
     if traces is not None and traces.execute(block, instructions, ctx):
         return  # traced: exports applied, hooks replayed, no temps bound
     releases = _temp_release_points(instructions)

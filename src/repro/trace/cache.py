@@ -78,7 +78,7 @@ class TraceCache:
         Called by the interpreter for dynamically recompiled blocks
         *before* the per-iteration plan-cache lookup.  The trace guards
         subsume the recompiler's statistics signature (config identity
-        plus per-operand type/value-type/dims/nnz — see
+        plus per-operand type/value-type/dims/nnz class — see
         :meth:`CompiledTrace.execute`), so a guard match proves the
         recompiler would return the exact plan the trace fused, and the
         lookup can be skipped.  Returns False when no live trace guards

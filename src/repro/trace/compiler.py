@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.compiler.recompile import nnz_class
 from repro.runtime.data import MatrixObject, ScalarObject
 from repro.runtime.instructions import cp
 from repro.runtime.instructions.base import Operand
@@ -71,7 +72,7 @@ class CompiledTrace:
         self.n_slots = n_slots
         #: Slot array template with literal constants pre-placed.
         self.template = template
-        #: Entry guards + loads: (name, slot, kind, shape, vtype, nnz).
+        #: Entry guards + loads: (name, slot, kind, shape, vtype, nnz class).
         self.loads = loads
         self.steps = steps
         #: Net symbol-table effects: (name, slot, kind) to bind at exit.
@@ -94,10 +95,14 @@ class CompiledTrace:
 
         The guards deliberately subsume the recompiler's plan-cache
         signature (config identity; per-load data type, value type, dims,
-        nnz): a passing guard set proves ``recompile_basic_block`` would
-        hand back the very plan this trace was compiled from, which is
-        what lets the interpreter dispatch trace-first and skip the
-        per-iteration plan-cache lookup entirely.
+        :func:`~repro.compiler.recompile.nnz_class`): a passing guard set
+        proves ``recompile_basic_block`` would hand back the very plan
+        this trace was compiled from, which is what lets the interpreter
+        dispatch trace-first and skip the per-iteration plan-cache lookup
+        entirely.  nnz is guarded by class, not exactly: the steps call
+        kernels that dispatch on the live block's layout, so a drifting
+        active set within one class reuses the trace with identical
+        results.
         """
         if ctx.config is not self.config:
             return None
@@ -110,7 +115,7 @@ class CompiledTrace:
                     type(value) is not MatrixObject
                     or not value.is_local
                     or value.shape != shape
-                    or value.nnz != nnz
+                    or nnz_class(shape[0], shape[1], value.nnz) != nnz
                     or value.value_type is not vtype
                 ):
                     return None
@@ -182,7 +187,7 @@ class _TraceCompiler:
         self.ctx = ctx
         self.n_slots = 0
         self.consts: List[Tuple[int, ScalarObject]] = []
-        #: (name, slot, kind, shape, value_type, nnz) guard+load records
+        #: (name, slot, kind, shape, value_type, nnz class) guard+load records
         self.loads: List[Tuple] = []
         self.steps: List = []
         #: name -> (slot, kind) of the currently bound value
@@ -218,7 +223,7 @@ class _TraceCompiler:
         elif type(value) is MatrixObject and value.is_local:
             kind = KIND_MATRIX
             shape = tuple(value.shape)
-            nnz = value.nnz
+            nnz = nnz_class(shape[0], shape[1], value.nnz)
         else:
             self._veto(f"input {name!r} is {type(value).__name__}")
         slot = self._new_slot()

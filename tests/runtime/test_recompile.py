@@ -1,16 +1,30 @@
 """Tests for dynamic recompilation (paper section 2.3(3))."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.mlcontext import MLContext
+from repro.cli import main
+from repro.compiler.blocks import BasicBlock, ForBlock, IfBlock
+from repro.compiler.codegen import _SPARSE_GUARD
 from repro.compiler.compile import compile_script
-from repro.compiler.recompile import recompile_basic_block, stats_from_symbol_table
+from repro.compiler.recompile import (
+    _PLAN_CACHE,
+    nnz_class,
+    recompile_basic_block,
+    stats_from_symbol_table,
+)
 from repro.compiler.sizes import VarStats
 from repro.config import ReproConfig
 from repro.runtime.context import ExecutionContext
 from repro.runtime.data import MatrixObject, ScalarObject
+from repro.runtime.interpreter import execute_program
 from repro.tensor import BasicTensorBlock
+from repro.tensor.block import SPARSITY_TURN_POINT
 from repro.types import DataType, ExecType
 
 
@@ -282,3 +296,128 @@ class TestPlanCacheBounds:
         first = recompile_basic_block(block, ctx)
         second = recompile_basic_block(block, ctx)
         assert first is second  # identity: the cached instruction list
+
+
+class TestPlanCacheMetrics:
+    SCRIPT = """
+f = function(Matrix[Double] X) return (Double s) {
+  s = 0.0
+  for (i in 1:5) {
+    s = s + sum(X %*% t(X))
+  }
+}
+s = f(rand(rows=10, cols=4, seed=1))
+print(s)
+"""
+
+    def test_recompiles_count_misses_not_lookups(self, tmp_path, capsys):
+        script = tmp_path / "loop.dml"
+        script.write_text(self.SCRIPT)
+        stats_json = tmp_path / "stats.json"
+        code = main([
+            str(script), "--trace-threshold", "10",
+            "--stats", "--stats-json", str(stats_json),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        metrics = json.loads(stats_json.read_text())["metrics"]
+        # five plan-cache lookups of one fixed-shape body: the first
+        # misses, the rest hit (recompiles used to count every lookup)
+        assert metrics["recompiles"] <= 2
+        assert metrics["plan_cache_hits"] >= 3
+        assert f"-- recompiles: {metrics['recompiles']}" in err
+        assert f"-- plan_cache_hits: {metrics['plan_cache_hits']}" in err
+
+
+class TestNnzClass:
+    @staticmethod
+    def _side(nnz, cells):
+        return (nnz / cells < _SPARSE_GUARD, nnz / cells < SPARSITY_TURN_POINT)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.integers(1, 1 << 20),
+        cols=st.integers(1, 1 << 12),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_class_bounds_are_idempotent_and_keep_thresholds(self, rows, cols, frac):
+        cells = rows * cols
+        nnz = int(frac * cells)
+        cls = nnz_class(rows, cols, nnz)
+        assert nnz <= cls <= cells
+        assert nnz_class(rows, cols, cls) == cls
+        if nnz > 0:
+            assert self._side(cls, cells) == self._side(nnz, cells)
+        assert nnz_class(rows, cols, 0) == 0
+        assert nnz_class(rows, cols, -1) == -1
+
+    def test_threshold_neighbours(self):
+        # every nnz around both thresholds of a 1000-cell block
+        for nnz in range(1, 1001):
+            cls = nnz_class(100, 10, nnz)
+            assert nnz <= cls <= 1000
+            assert self._side(cls, 1000) == self._side(nnz, 1000)
+        assert nnz_class(100, 10, 199) == 199  # capped just under 0.2
+        assert nnz_class(100, 10, 300) == 399  # capped just under 0.4
+        assert nnz_class(100, 10, 400) == 1000
+
+
+ACTIVE_SET = """
+train = function(Matrix[Double] X, Matrix[Double] y)
+    return (Matrix[Double] w, Double miscount, Double total) {
+  w = matrix(0, rows=ncol(X), cols=1)
+  miscount = 0.0
+  total = 0.0
+  for (i in 1:60) {
+    active = (1 - y * (X %*% w)) > 0
+    if (sum(active) > 0) {
+      miscount = miscount + abs(nnz(active) - sum(active))
+      total = total + nnz(active)
+      w = w + 0.5 * t(X) %*% (y * active) / nrow(X) - 0.01 * w
+    }
+  }
+}
+X = rand(rows=2000, cols=16, seed=7) - 0.5
+y = sign(X %*% rand(rows=16, cols=1, seed=8))
+[w, miscount, total] = train(X, y)
+"""
+
+
+def _basic_blocks(blocks):
+    for block in blocks:
+        if isinstance(block, BasicBlock):
+            yield block
+        elif isinstance(block, ForBlock):
+            yield from _basic_blocks(block.body)
+        elif isinstance(block, IfBlock):
+            yield from _basic_blocks(block.then_blocks)
+            yield from _basic_blocks(block.else_blocks)
+
+
+class TestSparsityDrift:
+    """A loop whose 0/1 active set drifts in sparsity keeps its plan."""
+
+    def _run(self, config):
+        program = compile_script(ACTIVE_SET, config, {}, ["w", "miscount", "total"])
+        ctx = ExecutionContext(program, config, print_handler=lambda text: None)
+        execute_program(program, ctx)
+        w = ctx.get("w").acquire_local(ctx.collect).to_numpy()
+        return w, ctx, program
+
+    def test_drifting_active_set_keeps_plan_and_traces(self):
+        w, ctx, program = self._run(ReproConfig())
+        body = list(_basic_blocks(program.functions["train"].blocks))
+        assert any(block.requires_recompile for block in body)
+        for block in body:
+            assert len(_PLAN_CACHE.get(block, {})) <= 2
+        assert ctx.traces.snapshot()["invalidations_recompile"] <= 2
+        reference, _, _ = self._run(ReproConfig(enable_recompile=False))
+        assert w.tobytes() == reference.tobytes()
+
+    def test_nnz_reads_exact_count_in_recompiled_body(self):
+        _, ctx, _ = self._run(ReproConfig())
+        # nnz(active) is read where active is a live-in keyed by its class:
+        # it must never fold to the class bound the plan was compiled for
+        assert ctx.get("miscount").value == 0.0
+        # the active set shrank below all-ones, so the exact counts varied
+        assert ctx.get("total").value < 60 * 2000
