@@ -10,6 +10,8 @@ end-to-end speedup at k=70).
 import numpy as np
 import pytest
 
+from repro.lineage import clear_reuse_caches
+
 from benchmarks.workload import (
     dense_workload,
     expected_model,
@@ -19,6 +21,13 @@ from benchmarks.workload import (
 )
 
 K_GRID = (1, 5, 20, 40)
+
+
+@pytest.fixture(autouse=True)
+def _cold_reuse_cache():
+    """Every measured run starts cold: the reuse cache lives for the
+    process, and a run would otherwise hit the entries of the one before."""
+    clear_reuse_caches()
 
 
 def _verify(data, k):

@@ -9,6 +9,8 @@ with the input size because after reuse only row-independent intermediates
 import numpy as np
 import pytest
 
+from repro.lineage import clear_reuse_caches
+
 from benchmarks.workload import (
     SPARSE_COLS,
     expected_model,
@@ -23,6 +25,13 @@ ROW_GRID = (4_000, 12_000, 36_000)
 
 #: Fixed number of models (paper: 70).
 K_MODELS = 20
+
+
+@pytest.fixture(autouse=True)
+def _cold_reuse_cache():
+    """Every measured run starts cold: the reuse cache lives for the
+    process, and a run would otherwise hit the entries of the one before."""
+    clear_reuse_caches()
 
 
 def _verify(data):

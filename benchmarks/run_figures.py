@@ -23,6 +23,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from repro.lineage import clear_reuse_caches
+
 from benchmarks.baselines import JuliaStyleBaseline, TFGraphBaseline, TFStyleBaseline
 from benchmarks.workload import (
     WorkloadData,
@@ -57,6 +59,9 @@ def run_baseline(baseline, data: WorkloadData, k: int, sparse: bool) -> float:
 
 
 def run_engine(data: WorkloadData, k: int, **config_kwargs) -> float:
+    # the reuse cache lives for the process: without emptying it, a point
+    # would be served by the entries of the points measured before it
+    clear_reuse_caches()
     return timed(lambda: run_sysds(data, k, sysds_config(**config_kwargs)))
 
 

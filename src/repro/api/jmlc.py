@@ -9,20 +9,17 @@ path (paper Figure 3, step 1).
     for batch in batches:
         out = ps.execute(X=batch, B=model)
 
-Input identity is tracked per slot: when the same object is passed again,
-its lineage guid is stable, so a shared reuse cache can serve repeated
-sub-computations across calls.  ``execute`` is safe for concurrent callers:
-each call gets a fresh execution context, the slot-guid table is locked,
-and the shared reuse cache is internally synchronised — the serving
-subsystem (``repro.serving``) scores one prepared script from many worker
-threads at once.
+Inputs are named in lineage by their content, so whenever the same data is
+passed again — the same object or an equal copy — the reuse cache serves
+the sub-computations that depend on it alone (the model side of a scoring
+script).  ``execute`` is safe for concurrent callers: each call gets a
+fresh execution context, and the reuse cache is internally synchronised —
+the serving subsystem (``repro.serving``) scores one prepared script from
+many worker threads at once.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-import weakref
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler.compile import compile_script
@@ -34,8 +31,6 @@ from repro.api.mlcontext import Results, _stats_of, _to_data_object
 from repro.runtime.bufferpool import BufferPool
 from repro.runtime.context import ExecutionContext
 from repro.runtime.interpreter import execute_program
-
-_GUIDS = itertools.count(1_000_000)
 
 
 class PreparedScript:
@@ -61,9 +56,7 @@ class PreparedScript:
         self.program = compile_script(source, self.config, var_stats, self.output_names)
         self._reuse = reuse_cache
         if self._reuse is None and self.config.reuse_enabled:
-            self._reuse = ReuseCache(
-                allow_partial=self.config.partial_reuse_enabled
-            )
+            self._reuse = ReuseCache.for_config(self.config)
         # shared buffer pool for all executions (serving); None means each
         # execution context creates its own private pool
         self._pool = pool
@@ -82,11 +75,6 @@ class PreparedScript:
             from repro.trace import TraceCache
 
             self._traces = TraceCache(self.config.trace_threshold)
-        # slot -> (anchor, guid): the anchor is a weakref to the bound object
-        # (or the object itself when it is not weak-referenceable), so a
-        # recycled id() of a dead object can never inherit the old guid
-        self._guids: Dict[str, tuple] = {}
-        self._guid_lock = threading.Lock()
 
     @property
     def reuse_cache(self) -> Optional[ReuseCache]:
@@ -110,22 +98,6 @@ class PreparedScript:
         self._stats = registry
         return self
 
-    def _slot_guid(self, name: str, value) -> int:
-        with self._guid_lock:
-            previous = self._guids.get(name)
-            if previous is not None:
-                anchor, guid = previous
-                target = anchor() if isinstance(anchor, weakref.ref) else anchor
-                if target is value:
-                    return guid
-            guid = next(_GUIDS)
-            try:
-                anchor = weakref.ref(value)
-            except TypeError:
-                anchor = value  # e.g. scalars: keep it alive, identity stays valid
-            self._guids[name] = (anchor, guid)
-            return guid
-
     def execute(self, **bindings) -> Results:
         missing = [name for name in self.input_names if name not in bindings]
         if missing:
@@ -139,10 +111,9 @@ class PreparedScript:
             traces=self._traces,
         )
         for name in self.input_names:
-            raw = bindings[name]
-            value = _to_data_object(raw)
+            value = _to_data_object(bindings[name])
             ctx.set(name, value)
             if ctx.tracer is not None:
-                ctx.tracer.bind_input(name, self._slot_guid(name, raw))
+                ctx.tracer.bind_input(name, value)
         execute_program(self.program, ctx)
         return Results(ctx, self.output_names, protected=self.input_names)

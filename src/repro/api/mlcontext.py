@@ -6,14 +6,15 @@ in-memory inputs and outputs.
     result = ml.execute("B = t(X) %*% X", inputs={"X": x}, outputs=["B"])
     result.matrix("B")
 
-Inputs may be NumPy arrays, tensor blocks, frames, or Python scalars.  One
-MLContext owns one lineage reuse cache, so repeated ``execute`` calls share
-cached intermediates when lineage reuse is enabled (paper section 3.1).
+Inputs may be NumPy arrays, tensor blocks, frames, or Python scalars.  With
+lineage reuse enabled (paper section 3.1) an MLContext holds a session on the
+process-wide reuse cache: inputs are named by their content, so any
+``execute`` — of this or of a later MLContext — that sees the same data
+reuses the reads and products an earlier one cached.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -33,8 +34,6 @@ from repro.runtime.data import (
 from repro.runtime.interpreter import execute_program
 from repro.tensor import BasicTensorBlock, Frame
 from repro.types import DataType
-
-_INPUT_GUIDS = itertools.count(1)
 
 InputValue = Union[np.ndarray, BasicTensorBlock, Frame, int, float, bool, str]
 
@@ -99,15 +98,13 @@ class Results:
 
 
 class MLContext:
-    """Compile-and-execute entry point with a session-scoped reuse cache."""
+    """Compile-and-execute entry point with a session on the reuse cache."""
 
     def __init__(self, config: Optional[ReproConfig] = None):
         self.config = config or default_config()
         self._reuse: Optional[ReuseCache] = None
         if self.config.reuse_enabled:
-            self._reuse = ReuseCache(
-                allow_partial=self.config.partial_reuse_enabled
-            )
+            self._reuse = ReuseCache.for_config(self.config)
         self._stats = None
         if self.config.enable_stats:
             self.set_stats(True)
@@ -168,7 +165,7 @@ class MLContext:
         for name, value in bound.items():
             ctx.set(name, value)
             if ctx.tracer is not None:
-                ctx.tracer.bind_input(name, next(_INPUT_GUIDS))
+                ctx.tracer.bind_input(name, value)
         execute_program(program, ctx)
         return Results(ctx, outputs)
 

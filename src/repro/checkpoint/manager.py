@@ -373,7 +373,10 @@ class CheckpointManager:
         from repro.types import ValueType
 
         if entry.get("kind") == "scalar":
-            return ScalarObject(entry["value"], ValueType(entry["value_type"]))
+            value = ScalarObject(entry["value"], ValueType(entry["value_type"]))
+            if ctx.tracer is not None:
+                ctx.tracer.bind_literal(name, value.value)
+            return value
         full = os.path.join(self.directory, entry["file"])
         try:
             with open(full, "rb") as handle:

@@ -7,7 +7,7 @@ the file extension, and dispatches to the concrete reader.
 from __future__ import annotations
 
 import os
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from repro.config import ReproConfig
 from repro.errors import IOFormatError
@@ -36,13 +36,19 @@ def _param_bool(params: Dict, name: str, default: bool) -> bool:
     return bool(value)
 
 
+def read_format(path: str, params: Dict) -> Tuple[str, str, Dict]:
+    """The (format, data type, ``.mtd`` metadata) a read of ``path`` resolves to."""
+    meta = read_mtd(path) or {}
+    format_name = _param_str(params, "format", meta.get("format", _format_from_extension(path)))
+    data_type = _param_str(params, "data_type", meta.get("data_type", "matrix"))
+    return format_name, data_type, meta
+
+
 def read_any(path: str, params: Dict, config: ReproConfig) -> Union[BasicTensorBlock, Frame]:
     """Read a matrix or frame, resolving format and schema metadata."""
     if not os.path.exists(path):
         raise IOFormatError(f"input file not found: {path}")
-    meta = read_mtd(path) or {}
-    format_name = _param_str(params, "format", meta.get("format", _format_from_extension(path)))
-    data_type = _param_str(params, "data_type", meta.get("data_type", "matrix"))
+    format_name, data_type, meta = read_format(path, params)
     header = _param_bool(params, "header", bool(meta.get("header", False)))
     sep = _param_str(params, "sep", ",")
     if data_type == "frame":

@@ -1,10 +1,16 @@
 """Lineage items: nodes of the per-variable lineage DAGs.
 
-Each item records one logical operation (or a leaf: input, literal, or
-seeded data generation) and links to the items of its inputs.  Items are
-immutable and carry a canonical 128-bit key (BLAKE2b over opcode, payload,
-and child keys) used both for deduplication (hash-consing) and as the reuse
-cache key.
+Each item records one logical operation (or a leaf: literal, bound data,
+persistent read, or seeded data generation) and links to the items of its
+inputs.  Items are immutable and carry a canonical 128-bit key (BLAKE2b over
+opcode, payload, and child keys) used both for deduplication (hash-consing)
+and as the reuse cache key.
+
+Leaves name data by content, never by variable name, object identity, path
+or modification time: a bound matrix is a digest of its values, a scalar is
+its value, a read is a digest of the file.  So equal keys mean equal values
+across executions and sessions of one process, which is what lets the reuse
+cache outlive a script run.
 """
 
 from __future__ import annotations
@@ -100,16 +106,22 @@ _GUID = itertools.count(1)
 
 
 def input_item(name: str, guid: Optional[int] = None) -> LineageItem:
-    """A leaf item for an external input (bound object or unknown variable).
+    """A leaf item for a variable whose content the tracer cannot name.
 
-    ``guid`` distinguishes different objects bound under the same name across
-    executions; a fresh one is drawn when not supplied.
+    A fresh ``guid`` is drawn when not supplied, so the leaf never equals
+    another one and nothing derived from it is ever reused.
     """
     if guid is None:
         guid = next(_GUID)
     return LineageItem("input", (), f"{name}#{guid}")
 
 
-def pread_item(path: str, mtime: float) -> LineageItem:
-    """A leaf item for a persistent read, keyed by path and modification time."""
-    return LineageItem("pread", (), f"{path}@{mtime}")
+def data_item(digest: str) -> LineageItem:
+    """A leaf item for a bound input, keyed by a digest of its content."""
+    return LineageItem("input", (), digest)
+
+
+def pread_item(digest: str) -> LineageItem:
+    """A leaf item for a persistent read, keyed by a digest of the file's
+    bytes, its ``.mtd`` metadata and the read's own parameters."""
+    return LineageItem("pread", (), digest)

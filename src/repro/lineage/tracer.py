@@ -11,10 +11,14 @@ the whole path (paper section 3.1).
 
 from __future__ import annotations
 
-import os
+import hashlib
+import pickle
 from typing import Dict, Optional, Sequence
 
-from repro.lineage.item import LineageItem, input_item, literal_item, pread_item
+import numpy as np
+
+from repro.lineage.item import LineageItem, data_item, input_item, literal_item, pread_item
+from repro.runtime.data import FrameObject, ListObject, MatrixObject, ScalarObject
 
 
 class LineageTracer:
@@ -100,18 +104,28 @@ class LineageTracer:
         self.items[name] = item
         return item
 
-    def trace_pread(self, name: str, path: str) -> LineageItem:
-        try:
-            mtime = os.path.getmtime(path)
-        except OSError:
-            mtime = -1.0
-        item = self._intern(pread_item(path, mtime))
+    def read_item(self, path: str, params: Dict[str, object]) -> LineageItem:
+        """The leaf of a persistent read (not yet bound to a variable)."""
+        digest = read_digest(path, params)
+        if digest is None:
+            return input_item(path)  # unreadable: the read itself will fail
+        return self._intern(pread_item(digest))
+
+    def bind_literal(self, name: str, value) -> LineageItem:
+        """Bind a variable holding a known scalar value to its literal leaf."""
+        item = self._intern(literal_item(value))
         self.items[name] = item
         return item
 
-    def bind_input(self, name: str, guid: int) -> LineageItem:
-        """Register an externally bound input under a stable object guid."""
-        item = self._intern(input_item(name, guid))
+    def bind_input(self, name: str, value) -> LineageItem:
+        """Register an externally bound input under a leaf of its content."""
+        if isinstance(value, ScalarObject):
+            return self.bind_literal(name, value.value)
+        digest = hashlib.sha256()
+        if _update_value(digest, value):
+            item = self._intern(data_item(digest.hexdigest()[:_HEX]))
+        else:
+            item = input_item(name)
         self.items[name] = item
         return item
 
@@ -127,3 +141,81 @@ class LineageTracer:
         item = self.items.get(source)
         if item is not None:
             self.items[target] = item
+
+
+# ---------------------------------------------------------------------------
+# content digests of leaves
+# ---------------------------------------------------------------------------
+
+#: Content digests are SHA-256, cut to 128 bits: with the SHA instructions
+#: of current x86 and ARM cores it hashes ~1 GB/s, about three times
+#: BLAKE2b's software speed.
+_HEX = 32
+_CHUNK = 1 << 20
+
+
+def read_digest(path: str, params: Dict[str, object]) -> Optional[str]:
+    """Digest of a read: the file's bytes, its ``.mtd`` and the read's own
+    parameters (format, header, separator, ...); None when the file cannot
+    be opened.  Path and mtime are not part of it: a file rewritten in
+    place is a new key, and the same bytes at another path the same key."""
+    from repro.io.mtd import mtd_path
+
+    digest = hashlib.sha256()
+    try:
+        _update_file(digest, path)
+    except OSError:
+        return None
+    digest.update(b"\x00mtd")
+    try:
+        _update_file(digest, mtd_path(path))
+    except OSError:
+        digest.update(b"\x00none")
+    for name in sorted(params):
+        value = getattr(params[name], "value", params[name])
+        digest.update(f"\x00{name}={value!r}".encode())
+    return digest.hexdigest()[:_HEX]
+
+
+def _update_file(digest, path: str) -> None:
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(_CHUNK), b""):
+            digest.update(chunk)
+
+
+def _update_value(digest, value) -> bool:
+    """Feed a bound data object's content into ``digest``; False when the
+    content is not local (federated, distributed) or of an unknown kind."""
+    if isinstance(value, ScalarObject):
+        digest.update(f"s{value.value_type.value}:{value.value!r}".encode())
+    elif isinstance(value, MatrixObject):
+        if not value.is_local:
+            return False
+        block = value.acquire_local()
+        if block.is_sparse and block.ndim == 2:
+            csr = block.to_scipy()
+            digest.update(f"csr{block.shape}".encode())
+            for part in (csr.indptr, csr.indices, csr.data):
+                _update_array(digest, part)
+        else:
+            _update_array(digest, block.to_numpy())
+    elif isinstance(value, FrameObject):
+        frame = value.frame
+        digest.update(f"f{frame.names}{[vt.value for vt in frame.schema]}".encode())
+        for column in frame.columns:
+            _update_array(digest, column)
+    elif isinstance(value, ListObject):
+        digest.update(f"l{len(value)}{value.names}".encode())
+        return all(_update_value(digest, entry) for entry in value.items)
+    else:
+        return False
+    return True
+
+
+def _update_array(digest, array: np.ndarray) -> None:
+    array = np.ascontiguousarray(array)
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    if array.dtype.hasobject:
+        digest.update(pickle.dumps(array.tolist(), protocol=pickle.HIGHEST_PROTOCOL))
+    else:
+        digest.update(array)

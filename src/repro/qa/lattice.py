@@ -18,7 +18,9 @@ no_codegen         cell-template code generation off
 no_recompile       dynamic recompilation off (static plans only)
 python_kernels     non-BLAS tiled matmult kernel (SysDS vs. SysDS-B)
 spark              distributed operators forced via a tiny operator budget
-lineage_reuse      lineage tracing + full reuse of repeated subcomputations
+lineage_reuse      lineage tracing + full reuse of repeated subcomputations;
+                   run twice, the warm second run served from the
+                   process-wide reuse cache the first one filled
 traced             hot blocks fused into compiled traces; bit-identical
 federated          inputs hosted on two federated sites, row-partitioned
 chaos_spill        buffer-pool spill faults + retries; must be bit-identical

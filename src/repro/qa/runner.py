@@ -7,6 +7,9 @@ configs compare within a small tolerance — distinct physical plans
 legitimately reorder float arithmetic — while chaos configs compare
 bit-identically, which is exactly the guarantee the resilience layer
 makes (PR 3): injected-and-recovered faults never change a result.
+A config with lineage reuse on runs twice; its second run, served from the
+process-wide reuse cache the first one filled, must match the reference
+as well.  Each program starts with an empty reuse cache.
 
 Federated configs re-bind eligible inputs through ``federated(...)``:
 each input matrix is row-partitioned onto two uniquely-named in-process
@@ -28,6 +31,7 @@ import numpy as np
 from repro.api.mlcontext import MLContext
 from repro.errors import InjectedCrashError
 from repro.federated.site import FederatedWorkerRegistry
+from repro.lineage import clear_reuse_caches
 from repro.net import registry_for
 from repro.qa.generator import MATRIX, SCALAR, GeneratedProgram
 from repro.qa.lattice import Lattice, LatticeConfig
@@ -137,6 +141,8 @@ class DifferentialRunner:
     ) -> Tuple[List[RunResult], List[Divergence]]:
         results: Dict[str, RunResult] = {}
         divergences: List[Divergence] = []
+        # every program starts cold, so a divergence replays the same way
+        clear_reuse_caches()
         for config in self.lattice:
             result = self._execute(config, source, inputs, outputs, seed)
             results[config.name] = result
@@ -149,6 +155,13 @@ class DifferentialRunner:
             divergences.extend(
                 self._compare(config, result, reference, outputs, source, seed)
             )
+            if config.build_config().reuse_enabled:
+                warm = self._execute(config, source, inputs, outputs, seed)
+                divergences.extend(
+                    dataclasses.replace(d, detail=f"warm rerun: {d.detail}")
+                    for d in self._compare(config, warm, reference, outputs,
+                                           source, seed)
+                )
         self.stats.increment("divergences", len(divergences))
         return list(results.values()), divergences
 

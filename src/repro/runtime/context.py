@@ -3,7 +3,7 @@
 One context corresponds to one frame of interpretation (the main script, a
 function call, or a parfor worker).  Child contexts get a fresh symbol
 table but share the buffer pool, the lineage interning table, the reuse
-cache, and the runtime metrics.
+cache (a session on the process-wide store), and the runtime metrics.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class ExecutionContext:
             tracer = LineageTracer(dedup=config.enable_lineage_dedup)
         self.tracer = tracer
         if reuse is None and config.reuse_enabled:
-            reuse = ReuseCache(allow_partial=config.partial_reuse_enabled)
+            reuse = ReuseCache.for_config(config)
         self.reuse = reuse
         if stats is None and config.enable_stats:
             from repro.obs import StatsRegistry
@@ -324,7 +324,3 @@ class ExecutionContext:
     def trace_datagen(self, name: str, instruction, seed: int) -> None:
         if self.tracer is not None:
             self.tracer.trace_datagen(name, instruction, seed)
-
-    def trace_pread(self, name: str, path: str) -> None:
-        if self.tracer is not None:
-            self.tracer.trace_pread(name, path)

@@ -620,7 +620,12 @@ class DataGenInstruction(Instruction):
 
 
 class ReadInstruction(Instruction):
-    """Persistent read of a matrix or frame from the filesystem."""
+    """Persistent read of a matrix or frame from the filesystem.
+
+    With lineage on, the read's leaf is a digest of the file's content;
+    with reuse on, a matrix read probes the reuse cache under that leaf
+    before parsing, so an unchanged file is parsed once per process.
+    """
 
     def __init__(self, inputs: Sequence[Operand], output: str, params: dict):
         super().__init__("pread", inputs, output, params)
@@ -633,6 +638,20 @@ class ReadInstruction(Instruction):
             name: self._resolve(operand, ctx)
             for name, operand in zip(self.params.get("names", []), self.inputs[1:])
         }
+        item = None
+        reusable = False
+        if ctx.tracer is not None:
+            item = ctx.tracer.read_item(path, named)
+            reusable = (ctx.reuse is not None
+                        and readers.read_format(path, named)[1] == "matrix")
+            if reusable:
+                cached = ctx.reuse.probe(item)
+                if cached is not None:
+                    if ctx.stats is not None:
+                        ctx.stats.count("lineage_reuse_hits")
+                    self.bind_block(ctx, cached)
+                    ctx.tracer.items[self.output] = item
+                    return
         result = readers.read_any(path, named, ctx.config)
         if ctx.stats is not None:
             ctx.stats.count("persistent_reads")
@@ -641,7 +660,10 @@ class ReadInstruction(Instruction):
             self.bind_frame(ctx, result)
         else:
             self.bind_block(ctx, result)
-        ctx.trace_pread(self.output, path)
+        if item is not None:
+            ctx.tracer.items[self.output] = item
+            if reusable and isinstance(result, BasicTensorBlock):
+                ctx.reuse.put(item, result, result.memory_size())
 
 
 class WriteInstruction(Instruction):

@@ -438,7 +438,12 @@ def call_function(
         default_block = func.default_blocks.get(param.name)
         if default_block is None:
             raise RuntimeDMLError(f"{func_name}: missing argument {param.name!r}")
-        frame.set(param.name, eval_predicate(default_block, frame))
+        value = eval_predicate(default_block, frame)
+        frame.set(param.name, value)
+        if frame.tracer is not None:
+            # a default evaluates to a scalar: its lineage is its value, so
+            # every call that takes the default traces the same leaf
+            frame.tracer.bind_literal(param.name, value.value)
     execute_blocks(func.blocks, frame)
     results = []
     items = []

@@ -6,9 +6,9 @@ and converts its weights into buffer-pool-backed matrix objects that are
 intermediates, never the weights, so the serving hot path is free of
 restore round-trips.
 
-All models of one registry share a single buffer pool and per-model
-lineage reuse caches.  The weight objects are bound by identity on every
-``execute``, so their slot guids are stable and the model-side sub-DAG
+All models of one registry share a single buffer pool, and each model's
+prepared script holds a session on the process-wide lineage reuse cache.
+Lineage names the weights by their content, so the model-side sub-DAG
 (anything derived from the weights alone) gets full lineage reuse across
 requests.
 """
@@ -84,8 +84,8 @@ class ServableModel:
     def score_batch(self, features: np.ndarray) -> np.ndarray:
         """Score a stacked feature matrix; one script execution per call.
 
-        The weights are bound by identity (stable slot guids), the feature
-        matrix is the only per-call binding.  Outputs are copied out and the
+        The weights are the same content on every call, the feature matrix
+        is the only per-call change.  Outputs are copied out and the
         execution context is closed, returning intermediates to the shared
         pool immediately.
         """

@@ -27,6 +27,12 @@ SPARSITY_TURN_POINT = 0.4
 MIN_SPARSE_SIZE = 256
 
 
+def _has_negative_zero(array: np.ndarray) -> bool:
+    """True when a float array holds a -0.0, which a sparse layout cannot
+    store: such a block stays dense so that its layout stays invisible."""
+    return array.dtype.kind == "f" and bool(np.any(np.signbit(array) & (array == 0)))
+
+
 class BasicTensorBlock:
     """A homogeneous, optionally sparse, n-dimensional tensor block."""
 
@@ -164,7 +170,7 @@ class BasicTensorBlock:
                 # then read the count without rescanning the array
                 nnz = int(np.count_nonzero(array))
                 store._nnz = nnz
-                if nnz < array.size * SPARSITY_TURN_POINT:
+                if nnz < array.size * SPARSITY_TURN_POINT and not _has_negative_zero(array):
                     self.store = SparseStore.from_numpy(array, store.value_type)
         elif (
             store.nnz >= store.size * SPARSITY_TURN_POINT

@@ -55,39 +55,52 @@ class TestPreparedScript:
         b = np.full((10, 2), 3.0)
         assert ps.execute(X=a).scalar("s") != ps.execute(X=b).scalar("s")
 
-    def test_slot_guid_stable_for_same_object(self):
-        ps = PreparedScript("y = X * 2", inputs=["X"], outputs=["y"])
-        value = np.ones((2, 2))
-        guid = ps._slot_guid("X", value)
-        assert ps._slot_guid("X", value) == guid
-        assert ps._slot_guid("X", np.ones((2, 2))) != guid
+    @staticmethod
+    def _input_key(ps, value):
+        results = ps.execute(X=value)
+        try:
+            return results.lineage("y").inputs[0].key
+        finally:
+            results.close()
 
-    def test_slot_guid_not_inherited_via_recycled_id(self):
-        # a dead object's id() can be recycled by a new allocation; the guid
-        # table anchors a weakref, so the recycled id gets a fresh guid
-        ps = PreparedScript("y = X * 2", inputs=["X"], outputs=["y"])
+    def test_input_leaf_keyed_by_content(self):
+        cfg = ReproConfig(enable_lineage=True)
+        ps = PreparedScript("y = X * 2", inputs=["X"], outputs=["y"], config=cfg)
+        value = np.ones((2, 2))
+        key = self._input_key(ps, value)
+        assert self._input_key(ps, value) == key
+        assert self._input_key(ps, np.ones((2, 2))) == key  # equal content
+        assert self._input_key(ps, np.full((2, 2), 3.0)) != key
+
+    def test_input_leaf_ignores_recycled_id(self):
+        # a dead object's id() can be recycled by a new allocation; the leaf
+        # is keyed on content, so the recycled id cannot inherit anything
+        cfg = ReproConfig(enable_lineage=True)
+        ps = PreparedScript("y = X * 2", inputs=["X"], outputs=["y"], config=cfg)
         value = np.ones((4, 4))
         old_id = id(value)
-        old_guid = ps._slot_guid("X", value)
+        old_key = self._input_key(ps, value)
         del value
         gc.collect()
         for _ in range(100):  # provoke CPython into recycling the address
             replacement = np.zeros((4, 4))
             if id(replacement) == old_id:
-                assert ps._slot_guid("X", replacement) != old_guid
+                assert self._input_key(ps, replacement) != old_key
                 break
             del replacement
 
-    def test_slot_guid_holds_no_strong_ref_to_arrays(self):
+    def test_input_binding_holds_no_strong_ref_to_arrays(self):
         import weakref
 
-        ps = PreparedScript("y = X * 2", inputs=["X"], outputs=["y"])
+        cfg = ReproConfig(enable_lineage=True, reuse_policy="full")
+        ps = PreparedScript("y = t(X) %*% X", inputs=["X"], outputs=["y"],
+                            config=cfg)
         value = np.ones((2, 2))
-        ps._slot_guid("X", value)
+        ps.execute(X=value).close()
         watcher = weakref.ref(value)
         del value
         gc.collect()
-        assert watcher() is None  # the guid table must not leak inputs
+        assert watcher() is None  # neither the script nor the cache leaks inputs
 
     def test_concurrent_execute_from_8_threads(self):
         cfg = ReproConfig(enable_lineage=True, reuse_policy="full")

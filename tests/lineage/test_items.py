@@ -31,8 +31,17 @@ class TestLineageItem:
     def test_input_guid_distinguishes_objects(self):
         assert input_item("X", 1).key != input_item("X", 2).key
 
-    def test_pread_keyed_by_path_and_mtime(self):
-        assert pread_item("a.csv", 1.0).key != pread_item("a.csv", 2.0).key
+    def test_pread_keyed_by_content(self, tmp_path):
+        from repro.lineage.tracer import read_digest
+
+        first, copy = tmp_path / "a.csv", tmp_path / "b.csv"
+        first.write_text("1,2\n3,4\n")
+        copy.write_text("1,2\n3,4\n")
+        key = pread_item(read_digest(str(first), {})).key
+        assert pread_item(read_digest(str(copy), {})).key == key
+        assert pread_item(read_digest(str(first), {"sep": ";"})).key != key
+        first.write_text("1,2\n3,5\n")
+        assert pread_item(read_digest(str(first), {})).key != key
 
     def test_iter_nodes_visits_dag_once(self):
         shared = literal_item(5)

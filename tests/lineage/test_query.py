@@ -22,10 +22,15 @@ class TestSearch:
         assert len(tsmm_nodes) == 1  # CSE + dedup: one shared node
 
     def test_inputs_of(self):
-        item = _trace("Z = sum(X + Y)", {"X": np.ones((2, 2)), "Y": np.ones((2, 2))})
+        # input leaves name data by content: two inputs with different
+        # values are two leaves, two with equal values one
+        x, y = np.ones((2, 2)), np.full((2, 2), 2.0)
+        item = _trace("Z = sum(X + Y)", {"X": x, "Y": y})
         leaves = query.inputs_of(item)
-        names = {leaf.data.split("#")[0] for leaf in leaves}
-        assert names == {"X", "Y"}
+        assert len({leaf.key for leaf in leaves}) == 2
+        assert all(leaf.opcode == "input" for leaf in leaves)
+        same = _trace("Z = sum(X + Y)", {"X": x, "Y": x.copy()})
+        assert len(query.inputs_of(same)) == 1
 
     def test_nondeterministic_ops_found(self):
         item = _trace("Z = sum(rand(rows=3, cols=3))", output="Z")
@@ -37,7 +42,7 @@ class TestSearch:
         # disable codegen so the trace keeps per-operator granularity
         ml = MLContext(ReproConfig(enable_lineage=True, enable_codegen=False))
         result = ml.execute("Z = abs(X) + abs(X) + abs(Y)",
-                            inputs={"X": np.ones((2, 2)), "Y": np.ones((2, 2))},
+                            inputs={"X": np.ones((2, 2)), "Y": np.full((2, 2), 2.0)},
                             outputs=["Z"])
         histogram = query.opcode_histogram(result.lineage("Z"))
         assert histogram["abs"] == 2  # abs(X) deduplicated, abs(Y) distinct

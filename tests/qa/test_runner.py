@@ -29,11 +29,15 @@ class TestAgreement:
 
     def test_generated_program_agrees_on_full_lattice(self):
         program = ProgramGenerator(seed=5).generate()
-        runner = DifferentialRunner(Lattice.default())
+        lattice = Lattice.default()
+        runner = DifferentialRunner(lattice)
         results, divergences = runner.run_program(program)
         assert divergences == []
         assert results[0].ok
-        assert runner.stats.counter("executions") == len(Lattice.default())
+        # one execution per config, plus the warm rerun of lineage_reuse
+        warm = sum(config.build_config().reuse_enabled for config in lattice)
+        assert warm == 1
+        assert runner.stats.counter("executions") == len(lattice) + warm
 
     def test_invalid_program_is_counted_not_diverged(self):
         runner = DifferentialRunner(Lattice.parse("baseline,no_codegen"))

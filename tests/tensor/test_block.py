@@ -106,6 +106,18 @@ class TestLayout:
         np.testing.assert_allclose(block.to_sparse().to_numpy(), data)
         np.testing.assert_allclose(block.to_dense().to_numpy(), data)
 
+    def test_negative_zero_survives_layout_decision(self):
+        # a 1/3-dense block would flip to sparse, and CSR cannot hold -0.0:
+        # the layout change must stay invisible, bit for bit
+        from repro.tensor.compressed import CompressedBlock
+
+        data = np.column_stack([np.full(100, -0.0), np.full(100, 91.84),
+                                np.full(100, -0.0)])
+        block = BasicTensorBlock.from_numpy(data)
+        assert block.to_numpy().tobytes() == data.tobytes()
+        compressed = CompressedBlock.compress(BasicTensorBlock.from_numpy(data))
+        assert compressed.to_dense_array().tobytes() == data.tobytes()
+
     def test_sparsity_turn_point_constant_sane(self):
         assert 0.0 < SPARSITY_TURN_POINT < 1.0
         assert MIN_SPARSE_SIZE > 0
