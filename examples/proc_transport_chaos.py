@@ -1,33 +1,26 @@
 """Transport chaos demo: kill workers or sever links mid-run, lose nothing.
 
 Runs the two workloads of the repro.net acceptance bar with federated
-sites and RDD executors as *real OS processes*, under a seeded fault plan:
+sites and RDD executors as *real OS processes* listening on loopback
+addresses, under two seeded fault families:
 
-* a row-federated L2SVM training loop — the faulted site worker recovers
-  (respawn + publication replay, or reconnect + same-id resend) and the
-  re-hosted shards stay bit-identical;
-* a distributed blocked matmul — the faulted executor recovers and the
-  in-flight task is resent under the same request id (the dedup cache
-  makes the retry idempotent).
+* ``kill`` — the ``fed.worker``/``rdd.worker`` points SIGKILL a worker
+  mid-request: the pool respawns it, replays its publication log, and
+  resends the in-flight request under the same id;
+* ``wire`` — the ``net.partition``/``net.drop``/``net.dup`` points sever
+  the link mid-stream, vanish frames and duplicate them: the pool
+  reconnects and resends, the worker answers from its dedup cache
+  (STATUS_REPLAY), and no worker dies.
 
-Two modes:
-
-* ``--transport proc`` (default) — workers behind coordinator-owned
-  pipes; the ``fed.worker``/``rdd.worker`` points SIGKILL one mid-run.
-* ``--transport tcp`` — workers listening on real loopback addresses;
-  the ``net.partition``/``net.drop`` wire points sever the link
-  mid-stream and vanish frames, so recovery is reconnect + resend with
-  the request answered from the worker's dedup cache (STATUS_REPLAY),
-  never re-executed.
-
-Both results are compared bit-for-bit against fault-free in-process
-runs, and a JSON report (CI asserts on it) is written when given a path.
+The workloads are a row-federated L2SVM training loop (the faulted site
+worker's shards must stay bit-identical) and a distributed blocked
+matmul (the faulted executor's task is resent).  Every result is
+compared bit-for-bit against a fault-free in-process run, and a JSON
+report (CI asserts on it) is written when given a path.
 
 Run:
 
     PYTHONPATH=src python examples/proc_transport_chaos.py [report.json]
-    PYTHONPATH=src python examples/proc_transport_chaos.py \
-        --transport tcp [report.json]
 """
 
 import argparse
@@ -38,7 +31,8 @@ import numpy as np
 
 from repro.api.mlcontext import MLContext
 from repro.config import ReproConfig
-from repro.net import registry_for
+from repro.net import for_config, registry_for
+from repro.net.transport import STAT_KEYS
 from repro.tensor import BasicTensorBlock
 
 L2SVM_SCRIPT = """
@@ -104,19 +98,18 @@ def run_matmul(config):
     return np.asarray(result.matrix("Z")), ml
 
 
-#: Per-mode chaos overrides for the two workloads.  The proc points
-#: SIGKILL a worker mid-request; the tcp points sever the link mid-stream
-#: (reconnect + same-id resend), duplicate frames (absorbed by the dedup
-#: cache — guarantees observed STATUS_REPLAY answers), and vanish the
-#: occasional frame (recovered by the request-timeout resend, so the tcp
-#: runs also shrink the round-trip deadline).
-_CHAOS_MODES = {
-    "proc": {
-        "fed": {"fault_spec": "fed.worker:fail=2", "fault_seed": 61},
+#: Chaos overrides per fault family and workload.  The wire family
+#: duplicates frames (absorbed by the dedup cache — guarantees observed
+#: STATUS_REPLAY answers) and vanishes the occasional frame (recovered by
+#: the request-timeout resend, so that run shrinks the round-trip
+#: deadline).
+CHAOS = {
+    "kill": {
+        "federated": {"fault_spec": "fed.worker:fail=2", "fault_seed": 61},
         "rdd": {"fault_spec": "rdd.worker:fail=2", "fault_seed": 67},
     },
-    "tcp": {
-        "fed": {
+    "wire": {
+        "federated": {
             "fault_spec": "net.partition:fail=2;net.dup:fail=2;"
                           "net.drop:fail=1",
             "fault_seed": 71,
@@ -131,68 +124,53 @@ _CHAOS_MODES = {
     },
 }
 
+RUNS = {"federated": (run_federated, {}), "rdd": (run_matmul, SPARK)}
+
+
+def chaos_run(workload, overrides, clean):
+    """One faulted run; its transport counters (this run's share only)."""
+    run, extra = RUNS[workload]
+    config = ReproConfig(transport="tcp", **overrides, **extra, **FAST_RETRY)
+    transport = for_config(config)
+    before = transport.snapshot()
+    got, __ = run(config)
+    after = transport.snapshot()
+    section = {key: after[key] - before[key] for key in STAT_KEYS}
+    return {"identical": bool(np.array_equal(got, clean)),
+            "mode": after["mode"], **section}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("out", nargs="?", default=None,
                         help="write the JSON report here")
-    parser.add_argument("--transport", choices=["proc", "tcp"],
-                        default="proc",
-                        help="which process transport (and fault family) "
-                             "to exercise")
     args = parser.parse_args(argv)
-    mode = args.transport
-    chaos = _CHAOS_MODES[mode]
 
-    clean_w, __ = run_federated(ReproConfig())
-    chaos_w, fed_ml = run_federated(ReproConfig(
-        transport=mode, enable_stats=True, **chaos["fed"], **FAST_RETRY,
-    ))
-    fed_section = fed_ml.stats().snapshot()["transport"]
-    fed_identical = bool(np.array_equal(chaos_w, clean_w))
-    print(f"federated L2SVM: identical={fed_identical} "
-          f"deaths={fed_section['worker_deaths']} "
-          f"respawns={fed_section['worker_respawns']} "
-          f"replayed={fed_section['replayed_publications']} "
-          f"partitions={fed_section['partitions']} "
-          f"reconnects={fed_section['reconnects']} "
-          f"dedup_hits={fed_section['dedup_hits']}")
-
-    clean_z, __ = run_matmul(ReproConfig(**SPARK))
-    chaos_z, rdd_ml = run_matmul(ReproConfig(
-        transport=mode, enable_stats=True,
-        **chaos["rdd"], **SPARK, **FAST_RETRY,
-    ))
-    rdd_section = rdd_ml.stats().snapshot()["transport"]
-    rdd_identical = bool(np.array_equal(chaos_z, clean_z))
-    print(f"blocked matmul:  identical={rdd_identical} "
-          f"deaths={rdd_section['worker_deaths']} "
-          f"respawns={rdd_section['worker_respawns']} "
-          f"partitions={rdd_section['partitions']} "
-          f"reconnects={rdd_section['reconnects']} "
-          f"dedup_hits={rdd_section['dedup_hits']}")
-
-    report = {
-        "transport": mode,
-        "federated": {"identical": fed_identical, **fed_section},
-        "rdd": {"identical": rdd_identical, **rdd_section},
-    }
+    clean = {workload: run(ReproConfig(**extra))[0]
+             for workload, (run, extra) in RUNS.items()}
+    report = {}
+    for family, workloads in CHAOS.items():
+        for workload, overrides in workloads.items():
+            section = chaos_run(workload, overrides, clean[workload])
+            report.setdefault(family, {})[workload] = section
+            print(f"{family:4} {workload:9}: identical={section['identical']} "
+                  f"deaths={section['worker_deaths']} "
+                  f"respawns={section['worker_respawns']} "
+                  f"replayed={section['replayed_publications']} "
+                  f"partitions={section['partitions']} "
+                  f"reconnects={section['reconnects']} "
+                  f"dedup_hits={section['dedup_hits']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.out}")
-    if mode == "proc":
-        ok = (fed_identical and rdd_identical
-              and fed_section["worker_respawns"] > 0
-              and rdd_section["worker_respawns"] > 0)
-    else:
-        ok = (fed_identical and rdd_identical
-              and fed_section["partitions"] > 0
-              and fed_section["reconnects"] > 0
-              and fed_section["dedup_hits"] > 0
-              and rdd_section["reconnects"] > 0
-              and rdd_section["dedup_hits"] > 0)
+    kill, wire = report["kill"].values(), report["wire"].values()
+    ok = (all(s["identical"] for s in (*kill, *wire))
+          and all(s["worker_respawns"] > 0 for s in kill)
+          and all(s["reconnects"] > 0 and s["dedup_hits"] > 0
+                  and s["worker_respawns"] == 0 for s in wire)
+          and report["wire"]["federated"]["partitions"] > 0)
     return 0 if ok else 1
 
 

@@ -80,16 +80,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="disable optimizer rewrites (debugging)")
     parser.add_argument("--no-trace", action="store_true",
                         help="disable trace compilation of hot basic blocks")
-    parser.add_argument("--transport", choices=["inproc", "proc", "tcp"],
+    parser.add_argument("--transport", choices=["inproc", "tcp"],
                         default="inproc",
                         help="where federated sites and RDD tasks execute: "
-                             "in-process thread sims (default), real "
-                             "SIGKILL-able worker processes (repro.net), or "
-                             "workers on dialable TCP addresses with "
-                             "reconnecting links and net.* chaos points")
+                             "in-process thread sims (default) or "
+                             "SIGKILL-able worker processes on dialable TCP "
+                             "addresses with reconnecting links and net.* "
+                             "chaos points")
     transport = parser.add_argument_group("transport tuning")
     transport.add_argument("--transport-host", metavar="HOST", default=None,
-                           help="bind/advertise host for tcp workers "
+                           help="bind/advertise host for worker processes "
                                 "(default 127.0.0.1)")
     transport.add_argument("--request-timeout", type=float, default=None,
                            metavar="S",

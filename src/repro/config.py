@@ -67,14 +67,14 @@ class ReproConfig:
 
     # --- transport ------------------------------------------------------------
     #: Where federated sites and RDD tasks execute: ``"inproc"`` (thread
-    #: simulations, zero overhead — the default), ``"proc"`` (real
-    #: spawn-context worker processes behind the :mod:`repro.net` frame
-    #: protocol, SIGKILL-able by the fault injector), or ``"tcp"``
-    #: (workers listening on real host:port addresses with reconnecting
-    #: links; gains the ``net.*`` wire-level fault points).
+    #: simulations, zero overhead — the default) or ``"tcp"`` (spawn-context
+    #: worker processes listening on real host:port addresses, dialled by
+    #: the coordinator over the :mod:`repro.net` frame protocol; SIGKILL-able
+    #: by the ``*.worker`` fault points, links cut by the ``net.*`` ones).
     transport: str = "inproc"
-    #: Bind/advertise host of tcp-transport workers.  Loopback by
-    #: default; a LAN address makes workers remotely addressable.
+    #: Host every pool worker (federated site, RDD executor, scoring
+    #: worker) binds and is dialled at.  Loopback by default; a LAN
+    #: address makes workers remotely addressable.
     transport_host: str = "127.0.0.1"
     #: Deadline (s) for one transport round trip before the lost-ACK
     #: same-id resend and the kill escalation kick in.
@@ -181,10 +181,9 @@ class ReproConfig:
             raise ValueError("block_size must be >= 1")
         if self.reuse_policy not in ("none", "full", "full_partial"):
             raise ValueError(f"unknown reuse policy: {self.reuse_policy!r}")
-        if self.transport not in ("inproc", "proc", "tcp"):
+        if self.transport not in ("inproc", "tcp"):
             raise ValueError(
-                f"unknown transport {self.transport!r} "
-                f"(use inproc, proc, or tcp)"
+                f"unknown transport {self.transport!r} (use inproc|tcp)"
             )
         if not self.transport_host:
             raise ValueError("transport_host must be a non-empty host")

@@ -44,7 +44,7 @@ class SimSparkContext:
         self.resilience = resilience
         #: Optional :class:`repro.net.Transport`; None (or the in-proc
         #: transport) keeps task execution a direct call on the pool thread,
-        #: a proc transport round-trips each task to an executor process.
+        #: the tcp transport round-trips each task to an executor process.
         self.transport = transport
         self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._lock = threading.RLock()

@@ -12,19 +12,18 @@ The transports select *where* federated sites and RDD tasks execute:
 
 * :class:`InProcTransport` — thread simulations, zero overhead, the
   tier-1 default;
-* :class:`ProcTransport` — site hosts and task executors as pool
-  workers, with per-address publication topics and round-robin tasks;
-* :class:`TcpTransport` — workers listening on real, dialable TCP
-  addresses kept in a remote-addressable registry, with connect
-  timeouts, reconnect-with-backoff link repair, and partition semantics
-  (peer dead = respawn + replay; link down = reconnect + same-id resend
-  answered from the dedup cache);
+* :class:`ProcTransport` — the ``tcp`` transport: site hosts and task
+  executors as pool workers on dialable ``host:port`` addresses, with
+  per-address publication topics and round-robin tasks;
 * :class:`ChaosTransport` — the tcp transport under seeded wire-level
   fault injection (``net.drop``/``net.delay_ms``/``net.dup``/
   ``net.corrupt``/``net.partition``).
 
-``for_config``/``registry_for`` resolve the mode from a
-:class:`~repro.config.ReproConfig` (``transport="inproc"|"proc"|"tcp"``).
+Every pool worker — ``fed``, ``rdd`` and ``score`` alike — listens and
+is dialled, so all three get the same partition semantics: peer dead =
+respawn + replay; link down = reconnect + same-id resend answered from
+the dedup cache.  ``for_config``/``registry_for`` resolve the mode from
+a :class:`~repro.config.ReproConfig` (``transport="inproc"|"tcp"``).
 """
 
 from repro.net.transport import (
@@ -38,7 +37,6 @@ __all__ = [
     "ChaosTransport",
     "InProcTransport",
     "ProcTransport",
-    "TcpTransport",
     "Transport",
     "WorkerPool",
     "for_config",
@@ -57,10 +55,6 @@ def __getattr__(name):
         from repro.net.proc import ProcTransport
 
         return ProcTransport
-    if name == "TcpTransport":
-        from repro.net.tcp import TcpTransport
-
-        return TcpTransport
     if name == "ChaosTransport":
         from repro.net.chaos import ChaosTransport
 

@@ -1,11 +1,11 @@
 """ChaosTransport: deterministic wire-level fault injection over TCP.
 
-A network-fault interposer layered on :class:`~repro.net.tcp.TcpTransport`
-and wired into the :mod:`repro.resilience.faults` grammar, so the same
-``POINT:p=F|fail=N|latency_ms=F`` spec that already drives spill/worker
-chaos can drop, delay, duplicate, bit-flip, and sever frames — each point
-drawing from its own crc32-seeded RNG stream, so a chaos run is a
-repeatable test, not an outage.
+A network-fault interposer layered on the tcp transport (:class:`~repro.
+net.proc.ProcTransport`) and wired into the :mod:`repro.resilience.faults`
+grammar, so the same ``POINT:p=F|fail=N|latency_ms=F`` spec that already
+drives spill/worker chaos can drop, delay, duplicate, bit-flip, and sever
+frames — each point drawing from its own crc32-seeded RNG stream, so a
+chaos run is a repeatable test, not an outage.
 
 Wire-level points (:data:`NET_POINTS`)
 --------------------------------------
@@ -43,7 +43,7 @@ from typing import Optional
 
 from repro.errors import TransportClosedError
 from repro.net import frames
-from repro.net.tcp import TcpTransport
+from repro.net.proc import ProcTransport
 
 #: The wire-level fault points, registered in
 #: :data:`repro.resilience.faults.KNOWN_POINTS`.
@@ -63,7 +63,7 @@ def spec_targets_network(spec: Optional[str]) -> bool:
     return False
 
 
-class ChaosTransport(TcpTransport):
+class ChaosTransport(ProcTransport):
     """TCP transport with seeded wire faults (see module docstring)."""
 
     name = "chaos_tcp"
@@ -103,7 +103,7 @@ class ChaosTransport(TcpTransport):
             self._bump("frames_corrupt_rejected")
             try:
                 handle.sock.sendall(data)
-            except (ConnectionError, BrokenPipeError) as exc:
+            except OSError as exc:
                 raise TransportClosedError(
                     f"connection lost mid-send: {exc}"
                 ) from exc

@@ -5,9 +5,12 @@ knows nothing about what a role does — the request payload carries its
 own dispatch tag (:mod:`repro.net.worker`).  Three roles ride it:
 federated site hosts and RDD task executors (:class:`~repro.net.proc.
 ProcTransport`) and the scoring workers of :class:`~repro.serving.
-workers.ShardedScoringService`.  Each worker is connected over a
-localhost TCP socket speaking the :mod:`repro.net.frames` protocol, with
-one request in flight per slot (the slot lock).
+workers.ShardedScoringService`.  Every worker runs the one worker main:
+it listens on its own ``host:port`` (``transport_host``), registers the
+address through a one-shot bootstrap connection, and the pool *dials* it
+with a connect timeout and a pid check (:meth:`WorkerPool._spawn`).  The
+session speaks the :mod:`repro.net.frames` protocol, with one request in
+flight per slot (the slot lock).
 
 Scatter/gather
 --------------
@@ -23,8 +26,15 @@ Failure model
 -------------
 * **Liveness** — workers heartbeat on their socket; while awaiting a
   response the coordinator counts silent grace windows
-  (``heartbeats_missed``) and probes the process.  EOF, a torn frame, or
-  a dead-and-silent process all mean the worker died.
+  (``heartbeats_missed``) and probes the process.  A dead-and-silent
+  process is a dead worker.
+* **Link down vs peer dead** — EOF or a torn frame means the *link*
+  died, not necessarily the worker.  :meth:`WorkerPool._repair_link`
+  redials the registered address (capped-expo backoff + jitter, pid
+  checked) and resends the in-flight request with the SAME id; a worker
+  that executed it during the outage answers from its dedup cache.  Only
+  when the peer is provably dead (process gone, redial budget spent, a
+  different pid answered) does the error reach the death loop.
 * **Respawn + replay** — a dead worker loses its state.  The pool keeps
   a per-slot *publication log* (every request sent with a ``topic``, in
   order) and replays it into the fresh incarnation — lineage-style
@@ -50,6 +60,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import random
 import signal
 import socket
 import threading
@@ -65,9 +76,23 @@ from repro.errors import (
 from repro.net import frames, serde
 from repro.net.transport import STAT_KEYS
 from repro.net.worker import STATUS_REPLAY, worker_main
+from repro.resilience.retry import RetryPolicy
 
-#: How long one worker gets to spawn, import, connect, and handshake.
+#: How long one worker gets to spawn, import, and register its address.
 READY_TIMEOUT_S = 60.0
+
+#: Connect + READY-greeting deadline (s) when dialing a worker (bounds
+#: half-open connection detection).
+CONNECT_TIMEOUT_S = 5.0
+
+#: Redials of a severed link before the peer is declared dead (escalating
+#: to respawn + publication replay).
+RECONNECT_RETRIES = 4
+
+#: Ceiling on link repairs for ONE request, so a link that dies instantly
+#: every time cannot spin forever (each repair already burned a full
+#: redial budget).
+MAX_LINK_REPAIRS = 8
 
 
 def recv_ready(sock: socket.socket, who: str) -> dict:
@@ -81,18 +106,23 @@ def recv_ready(sock: socket.socket, who: str) -> dict:
 
 
 class _Handle:
-    """One worker incarnation: process + its connected socket."""
+    """One worker incarnation: process, its address, the dialled socket."""
 
-    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid")
+    __slots__ = ("role", "index", "incarnation", "process", "sock", "pid",
+                 "host", "port", "repairs")
 
     def __init__(self, role: str, index: int, incarnation: int, process,
-                 sock: socket.socket, pid: int):
+                 sock: socket.socket, pid: int, host: str, port: int):
         self.role = role
         self.index = index
         self.incarnation = incarnation
         self.process = process
         self.sock = sock
         self.pid = pid
+        self.host = host
+        self.port = port
+        #: Link repairs since the last reply arrived on this incarnation.
+        self.repairs = 0
 
     def alive(self) -> bool:
         return self.process.is_alive()
@@ -131,7 +161,9 @@ class WorkerPool:
 
     def __init__(self, roles: Dict[str, int], heartbeat_s: float = 0.25,
                  request_timeout_s: float = 60.0, respawn_limit: int = 3,
-                 miss_grace: float = 3.0):
+                 miss_grace: float = 3.0, host: str = "127.0.0.1",
+                 reconnect_backoff_ms: float = 20.0,
+                 reconnect_backoff_max_ms: float = 500.0):
         if not roles or min(roles.values()) < 1:
             raise TransportError("pool needs at least one worker per role")
         if heartbeat_s <= 0 or miss_grace < 1.0:
@@ -148,6 +180,14 @@ class WorkerPool:
         #: Silent grace windows (multiples of the heartbeat interval)
         #: before a missed heartbeat is counted and the process probed.
         self.miss_grace = miss_grace
+        #: The host workers bind and the pool dials (``transport_host``).
+        self.host = host
+        self.reconnect_policy = RetryPolicy(
+            max_retries=RECONNECT_RETRIES, backoff_ms=reconnect_backoff_ms,
+            max_backoff_ms=reconnect_backoff_max_ms,
+        )
+        # deterministic jitter stream for reconnect backoff
+        self._reconnect_rng = random.Random(0x7C9D1EB3)
         self._pools: Dict[str, List[Optional[_Handle]]] = {
             role: [None] * count for role, count in roles.items()
         }
@@ -181,6 +221,7 @@ class WorkerPool:
             "heartbeat_s": config.heartbeat_interval_s,
             "miss_grace": config.heartbeat_miss_grace,
             "request_timeout_s": config.transport_request_timeout_s,
+            "host": config.transport_host,
         }
 
     def bind_resilience(self, resilience) -> None:
@@ -190,10 +231,12 @@ class WorkerPool:
     def snapshot(self) -> dict:
         with self._stats_lock:
             snap = dict(self._stats)
-        snap["live_workers"] = sum(
-            1 for pool in self._pools.values()
-            for handle in pool if handle is not None and handle.alive()
-        )
+        handles = [(role, handle) for role, pool in sorted(self._pools.items())
+                   for handle in pool if handle is not None]
+        snap["live_workers"] = sum(1 for __, h in handles if h.alive())
+        snap["addresses"] = {
+            f"{role}-{h.index}": f"{h.host}:{h.port}" for role, h in handles
+        }
         return snap
 
     def close(self) -> None:
@@ -250,54 +293,106 @@ class WorkerPool:
 
     # --- worker lifecycle ----------------------------------------------------
 
-    def _bootstrap(self, host: str, target, args: Tuple, name: str):
-        """Start one worker process and accept its first connection.
+    def _spawn(self, role: str, index: int, incarnation: int) -> _Handle:
+        """Start one worker, take its address registration, dial it.
 
-        The worker gets ``(host, port) + args`` and dials the listener;
-        returns ``(process, socket, hello)`` once its READY frame arrived.
+        The worker binds ``host``, sends ``{pid, host, port}`` over a
+        one-shot connection to a listener of ours, and serves dialled
+        sessions (:func:`repro.net.worker.worker_main`).  A worker that
+        fails any step after its start is killed before the error leaves.
         """
         if self._closed:
             raise TransportError("transport is closed")
+        name = f"net-{role}-{index}.{incarnation}"
+        process = None
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            listener.bind((host, 0))
+            listener.bind((self.host, 0))
             listener.listen(1)
             listener.settimeout(0.5)  # each slice probes the process
             process = self._mp.Process(
-                target=target, name=name, daemon=True,
-                args=(host, listener.getsockname()[1]) + args,
+                target=worker_main, name=name, daemon=True,
+                args=(self.host, listener.getsockname()[1], role, index,
+                      self.heartbeat_s),
             )
             process.start()
             deadline = time.monotonic() + READY_TIMEOUT_S
             while True:
                 try:
-                    sock, __ = listener.accept()
+                    boot, __ = listener.accept()
                     break
                 except socket.timeout:
-                    if process.is_alive() and time.monotonic() < deadline:
-                        continue
-                    process.kill()
-                    raise TransportError(
-                        f"worker {name} died during startup or did not "
-                        f"connect within {READY_TIMEOUT_S:.0f}s"
-                    ) from None
+                    if not process.is_alive() or time.monotonic() > deadline:
+                        raise TransportError(
+                            f"worker {name} died during startup or did not "
+                            f"register within {READY_TIMEOUT_S:.0f}s"
+                        ) from None
+            with boot:
+                boot.settimeout(READY_TIMEOUT_S)
+                hello = recv_ready(boot, f"worker {name}")
+            sock, pid = self._dial(hello["host"], hello["port"])
+            if pid != hello["pid"]:
+                sock.close()
+                raise TransportError(
+                    f"{role} worker {index} at {hello['host']}:"
+                    f"{hello['port']} answered with pid {pid}, expected "
+                    f"{hello['pid']}"
+                )
+        except BaseException:
+            if process is not None and process.pid is not None:  # started
+                process.kill()
+                process.join(timeout=5.0)
+            raise
         finally:
             listener.close()
+        return _Handle(role, index, incarnation, process, sock, pid,
+                       hello["host"], hello["port"])
+
+    def _dial(self, host: str, port: int) -> Tuple[socket.socket, int]:
+        """Connect to a worker's address and read its greeting.
+
+        Returns ``(socket, pid)``.  The greeting is what detects half-open
+        connections: a listener that accepts but whose process is wedged
+        (or a recycled port owned by a stranger) fails the READY exchange
+        within :data:`CONNECT_TIMEOUT_S` instead of wedging the coordinator.
+        """
+        sock = socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S)
         try:
-            sock.settimeout(READY_TIMEOUT_S)
-            return process, sock, recv_ready(sock, f"worker {name}")
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            hello = recv_ready(sock, f"worker at {host}:{port}")
         except BaseException:
             sock.close()
             raise
-
-    def _spawn(self, role: str, index: int, incarnation: int) -> _Handle:
-        process, sock, hello = self._bootstrap(
-            "127.0.0.1", worker_main, (role, index, self.heartbeat_s),
-            f"net-{role}-{index}.{incarnation}",
-        )
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.heartbeat_s)
-        return _Handle(role, index, incarnation, process, sock, hello["pid"])
+        return sock, hello["pid"]
+
+    def _reconnect(self, handle: _Handle) -> bool:
+        """Redial a live worker's address after its link was severed.
+
+        Retries under :attr:`reconnect_policy`'s capped-expo backoff +
+        deterministic jitter.  Returns ``False`` when the peer is dead
+        (process gone, budget spent, or a different pid greeted us).
+        """
+        handle.sock.close()
+        attempt = 0
+        while handle.alive():
+            try:
+                sock, pid = self._dial(handle.host, handle.port)
+            except (OSError, TransportError):
+                if attempt >= self.reconnect_policy.max_retries:
+                    return False
+                time.sleep(self.reconnect_policy.delay_s(
+                    attempt, self._reconnect_rng))
+                attempt += 1
+                continue
+            if pid != handle.pid:
+                # a stranger on a recycled port: not the peer we lost
+                sock.close()
+                return False
+            handle.sock = sock
+            self._bump("reconnects")
+            return True
+        return False
 
     def _ensure(self, role: str, index: int) -> _Handle:
         # caller holds the slot lock
@@ -317,11 +412,10 @@ class WorkerPool:
         it converges).
         """
         dead = self._pools[role][index]
-        try:
+        if dead is not None:  # None: the first spawn itself failed
             dead.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        handle = self._spawn(role, index, incarnation=dead.incarnation + 1)
+        handle = self._spawn(role, index, incarnation=(
+            0 if dead is None else dead.incarnation + 1))
         self._pools[role][index] = handle
         self._bump("worker_respawns")
         with self._log_lock:
@@ -464,8 +558,14 @@ class WorkerPool:
 
     def _send_request(self, handle: _Handle, request_id: int, body: bytes,
                       point: Optional[str] = None) -> None:
-        """Send one REQ frame; ``point`` may SIGKILL the worker behind it."""
-        self._send(handle, frames.REQ, request_id, body)
+        """Send one REQ frame, repairing a severed link; ``point`` may
+        SIGKILL the worker behind it (not after a repair: a kill fault
+        gets one shot per request)."""
+        try:
+            self._send(handle, frames.REQ, request_id, body)
+        except (TransportClosedError, FrameProtocolError) as exc:
+            self._repair_link(handle, request_id, body, exc)
+            return
         if point is not None and self._resilience is not None \
                 and self._resilience.trip(point):
             # seeded chaos: SIGKILL the worker mid-request; the death loop
@@ -479,9 +579,29 @@ class WorkerPool:
                 f"(injected at {point!r})"
             )
 
+    def _repair_link(self, handle: _Handle, request_id: int, body: bytes,
+                     error: Exception) -> None:
+        """Reconnect, then resend the SAME id; a request that executed
+        during the outage is answered from the worker's dedup cache
+        (STATUS_REPLAY), never re-executed.
+
+        Raises ``error`` when the peer is dead or the request's repair
+        budget (:data:`MAX_LINK_REPAIRS`) is spent: the death loop then
+        respawns + replays.
+        """
+        while True:
+            handle.repairs += 1
+            if handle.repairs > MAX_LINK_REPAIRS or not self._reconnect(handle):
+                raise error
+            try:
+                return self._send(handle, frames.REQ, request_id, body)
+            except (TransportClosedError, FrameProtocolError) as exc:
+                error = exc
+
     def _await_reply(self, handle: _Handle, request_id: int, body: bytes):
-        """Read frames until ``request_id`` is answered; raises on worker
-        death.  ``body`` is kept for the one lost-ACK resend."""
+        """Read frames until ``request_id`` is answered.  A severed link is
+        repaired; a dead or wedged worker raises.  ``body`` is kept for
+        the resends."""
         grace_s = self.heartbeat_s * self.miss_grace
         deadline = time.monotonic() + self.request_timeout_s
         last_frame = time.monotonic()
@@ -503,7 +623,7 @@ class WorkerPool:
                     if not resent and handle.alive():
                         # lost-ACK recovery: resend the SAME id; the dedup
                         # cache replays if the worker already executed it
-                        self._send(handle, frames.REQ, request_id, body)
+                        self._send_request(handle, request_id, body)
                         self._bump("resent_requests")
                         resent = True
                         deadline = now + self.request_timeout_s
@@ -515,12 +635,18 @@ class WorkerPool:
                         f"{self.request_timeout_s:.0f}s)"
                     ) from None
                 continue
+            except (TransportClosedError, FrameProtocolError) as exc:
+                # link down: redial + same-id resend, a fresh deadline
+                self._repair_link(handle, request_id, body, exc)
+                last_frame = time.monotonic()
+                deadline, resent = last_frame + self.request_timeout_s, False
+                continue
             last_frame = time.monotonic()
             if frame.kind == frames.HEARTBEAT:
                 self._bump("heartbeats_seen")
                 continue
             if frame.kind not in (frames.RES, frames.ERR):
-                continue  # e.g. a READY greeting after a tcp reconnect
+                continue  # not an answer: tolerate it
             # a view, not a slice: no second copy of a large payload
             status, data = frame.payload[:1], memoryview(frame.payload)[1:]
             if status == STATUS_REPLAY:
@@ -530,6 +656,7 @@ class WorkerPool:
                 self._bump("dedup_hits")
             if frame.request_id != request_id:
                 continue  # stale response to an abandoned id
+            handle.repairs = 0
             if frame.kind == frames.RES:
                 return serde.loads(data)
             raise pickle.loads(data)

@@ -1,10 +1,11 @@
 """ProcTransport: federated sites and RDD executors as real OS processes.
 
-The coordinator keeps two small fixed pools of supervised workers — site
-hosts (role ``fed``, the federated data plane) and task executors (role
-``rdd``) — on the shared :class:`~repro.net.pool.WorkerPool`, which owns
-spawning, liveness, respawn + publication-log replay, same-id resend and
-the kill points (see its module docstring for the failure model).  Pools
+The ``tcp`` transport.  The coordinator keeps two small fixed pools of
+supervised workers — site hosts (role ``fed``, the federated data plane)
+and task executors (role ``rdd``) — on the shared :class:`~repro.net.
+pool.WorkerPool`, which owns spawning, dialling the workers' addresses,
+liveness, link repair, respawn + publication-log replay, same-id resend
+and the kill points (see its module docstring for the failure model).  Pools
 are deliberately small and shared: a qa fuzz sweep hosts hundreds of site
 addresses, so addresses hash onto site workers by ``crc32(address) % n``
 instead of mapping one process per address.
@@ -186,18 +187,15 @@ class ProxyRegistry(FederatedWorkerRegistry):
 class ProcTransport(WorkerPool, Transport):
     """Process-boundary transport (see module docstring)."""
 
-    name = "proc"
+    name = "tcp"
 
     _instance: Optional["ProcTransport"] = None
     _instance_lock = threading.Lock()
 
-    def __init__(self, site_workers: int = 2, task_workers: int = 2,
-                 heartbeat_s: float = 0.25, request_timeout_s: float = 60.0,
-                 respawn_limit: int = 3, miss_grace: float = 3.0):
-        super().__init__(
-            {"fed": site_workers, "rdd": task_workers}, heartbeat_s,
-            request_timeout_s, respawn_limit, miss_grace,
-        )
+    def __init__(self, site_workers: int = 2, task_workers: int = 2, **pool):
+        """``pool``: the :class:`WorkerPool` knobs (heartbeat, timeouts,
+        respawn limit, host, reconnect backoff)."""
+        super().__init__({"fed": site_workers, "rdd": task_workers}, **pool)
         self._task_rr = itertools.count()
         self._registry = ProxyRegistry(self)
 

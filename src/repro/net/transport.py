@@ -12,8 +12,9 @@ A :class:`Transport` answers two questions for the runtime:
 in-process objects in the default registry and tasks run directly on the
 calling thread (the Spark context's thread pool).  It is the tier-1
 default because it adds zero overhead.  :class:`~repro.net.proc.
-ProcTransport` moves both behind real OS processes and a frame protocol,
-so the resilience and checkpoint layers face genuine process deaths.
+ProcTransport` (``tcp``) moves both behind real OS processes on dialable
+addresses and a frame protocol, so the resilience and checkpoint layers
+face genuine process deaths and severed links.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ STAT_KEYS = (
     "replayed_publications",
     # requests sent while another slot's reply was still outstanding
     "scattered_requests",
-    # tcp/chaos link lifecycle (always-zero under inproc/proc)
+    # link lifecycle (always zero under inproc)
     "reconnects",
     "partitions",
     "frames_dropped",
@@ -100,21 +101,15 @@ def for_config(config) -> Optional[Transport]:
     transport as the direct in-process path, keeping every hot-path check
     a single ``is None`` like the other optional subsystems.
     """
-    mode = getattr(config, "transport", "inproc")
-    if mode == "proc":
-        from repro.net.proc import ProcTransport
+    if getattr(config, "transport", "inproc") != "tcp":
+        return None
+    from repro.net.chaos import ChaosTransport, spec_targets_network
+    from repro.net.proc import ProcTransport
 
-        return ProcTransport.default(config)
-    if mode == "tcp":
-        from repro.net.chaos import ChaosTransport, spec_targets_network
-
-        if spec_targets_network(getattr(config, "fault_spec", None)):
-            # wire faults requested: interpose the chaos layer
-            return ChaosTransport.default(config)
-        from repro.net.tcp import TcpTransport
-
-        return TcpTransport.default(config)
-    return None
+    if spec_targets_network(getattr(config, "fault_spec", None)):
+        # wire faults requested: interpose the chaos layer
+        return ChaosTransport.default(config)
+    return ProcTransport.default(config)
 
 
 def registry_for(config):

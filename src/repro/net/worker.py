@@ -7,20 +7,18 @@ carries its own dispatch tag and worker-local state is a plain ``state``
 dict that requests populate: ``site``/``reg`` requests lazily create the
 site registry, and a ``("call", fn, args)`` request runs an importable
 ``fn(state, *args)``, which is how a role this package knows nothing
-about (serving's model registry) keeps state here.  On orderly exit every
-state value with a ``close()`` is closed, newest first.  Two bootstraps
-exist:
+about (serving's model registry) keeps state here.  On exit every state
+value with a ``close()`` is closed, newest first.
 
-* :func:`worker_main` (proc transport) — the worker dials the
-  coordinator's listener and serves that single connection for life.
-* :func:`tcp_worker_main` (tcp transport) — the worker *listens* on its
-  own host:port, registers the address with the coordinator through a
-  one-shot bootstrap connection, then serves connections one at a time
-  from an accept loop.  Worker state (hosted tensors, dedup cache)
-  survives across connections, which is exactly what makes a network
-  partition recoverable: the coordinator reconnects and resends, and the
-  worker either still has the response recorded (replay) or executes it
-  for the first time — never twice.
+:func:`worker_main` is the one bootstrap: the worker *listens* on its own
+host:port, registers the address with the coordinator through a one-shot
+bootstrap connection, then serves dialled sessions one at a time from an
+accept loop.  Worker state (hosted tensors, dedup cache) survives across
+sessions, which is exactly what makes a severed link recoverable: the
+coordinator reconnects and resends, and the worker either still has the
+response recorded (replay) or executes it for the first time — never
+twice.  The accept loop wakes every heartbeat interval and exits once the
+coordinator process is gone, so no worker outlives it.
 
 Idempotency (the dedup cache)
 -----------------------------
@@ -46,8 +44,8 @@ stringified :class:`~repro.errors.TransportError` for unpicklable ones —
 though every :mod:`repro.errors` type round-trips by contract) and
 re-raised coordinator-side with their types and attributes intact.  A
 corrupt frame on the wire severs the *session* (the framing is no longer
-trustworthy) but never kills the worker: the tcp accept loop just waits
-for the coordinator to reconnect.
+trustworthy) but never kills the worker: the accept loop just waits for
+the coordinator to reconnect.
 """
 
 from __future__ import annotations
@@ -204,81 +202,47 @@ def _serve_connection(sock: socket.socket, state: dict, dedup,
         stop.set()
 
 
-def worker_main(host: str, port: int, role: str, index: int,
+def worker_main(host: str, boot_port: int, role: str, index: int,
                 heartbeat_s: float) -> None:
-    """Proc transport: connect back to the coordinator and serve until BYE."""
-    import os
+    """Listen on ``host`` and serve coordinator sessions until BYE.
 
-    sock = socket.create_connection((host, port))
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    state: dict = {}
-    dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
-    hello = {"pid": os.getpid(), "role": role, "index": index}
-    try:
-        _serve_connection(sock, state, dedup, heartbeat_s, hello)
-    finally:
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        _close_state(state)
-
-
-def tcp_worker_main(boot_host: str, boot_port: int, bind_host: str,
-                    role: str, index: int, heartbeat_s: float) -> None:
-    """TCP transport: listen on a real address and serve sessions until BYE.
-
-    Binds an ephemeral port on ``bind_host``, registers
-    ``{pid, host, port}`` with the coordinator through a one-shot
-    bootstrap connection, then accepts coordinator sessions one at a
-    time.  A severed or corrupted session returns to the accept loop
-    with all hosted state intact — reconnect-and-resend is the
-    coordinator's job; only BYE (graceful drain) ends the process.
+    Binds an ephemeral port, registers ``{pid, host, port}`` with the
+    coordinator's listener at ``(host, boot_port)``, then accepts
+    sessions one at a time.  A severed or corrupted session returns to
+    the accept loop with all state intact — reconnect-and-resend is the
+    coordinator's job; BYE or the coordinator's death ends the process.
     """
+    import multiprocessing
     import os
 
     from repro.net import serde
 
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((bind_host, 0))
+    listener.bind((host, 0))
     listener.listen(8)
-    host, port = listener.getsockname()[:2]
-    boot = socket.create_connection((boot_host, boot_port))
-    try:
+    listener.settimeout(heartbeat_s)  # each slice checks the coordinator
+    bound_host, port = listener.getsockname()[:2]
+    with socket.create_connection((host, boot_port)) as boot:
         frames.send_frame(boot, frames.READY, 0, serde.dumps({
-            "pid": os.getpid(), "host": host, "port": port,
+            "pid": os.getpid(), "host": bound_host, "port": port,
             "role": role, "index": index,
         }))
-    finally:
-        try:
-            boot.close()
-        except OSError:  # pragma: no cover
-            pass
+    coordinator = multiprocessing.parent_process()
     state: dict = {}
     dedup: "collections.OrderedDict[int, tuple]" = collections.OrderedDict()
     hello = {"pid": os.getpid(), "role": role, "index": index}
     try:
-        while True:
+        while coordinator.is_alive():
             try:
                 sock, __ = listener.accept()
-            except OSError:  # pragma: no cover - listener torn down
-                break
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            try:
-                reason = _serve_connection(
-                    sock, state, dedup, heartbeat_s, hello
-                )
-            finally:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+            except socket.timeout:
+                continue
+            with sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                reason = _serve_connection(sock, state, dedup, heartbeat_s, hello)
             if reason == "bye":
                 break
     finally:
-        try:
-            listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        listener.close()
         _close_state(state)

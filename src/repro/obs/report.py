@@ -78,7 +78,7 @@ def attach_federated(registry: StatsRegistry, worker_registry=None) -> None:
         sites = worker_registry or FederatedWorkerRegistry.default()
         with sites._lock:
             hosted = dict(sites._sites)
-        # metrics reads happen outside the registry lock: against a proc
+        # metrics reads happen outside the registry lock: against the tcp
         # transport each one is an RPC to the hosting worker process
         per_site = {
             address: dict(site.metrics) for address, site in hosted.items()

@@ -27,12 +27,10 @@ chaos_spill        buffer-pool spill faults + retries; must be bit-identical
 chaos_federated    federated request faults + failover; bit-identical
 chaos_crash        crash mid-program + checkpoint resume; bit-identical
 chaos_spark        distributed task faults + task retry; bit-identical
-proc_federated     federated sites in real worker processes (proc
-                   transport); bit-identical to the in-process twin
-proc_spark         RDD tasks in real worker processes (proc transport);
-                   bit-identical to the in-process spark twin
 tcp                federated sites behind workers on real TCP addresses
                    (tcp transport); bit-identical to the in-process twin
+tcp_spark          RDD tasks in worker processes on real TCP addresses;
+                   bit-identical to the in-process spark twin
 chaos_tcp          tcp transport under seeded wire faults — partitions,
                    duplicated and bit-flipped frames — recovered by
                    reconnect + same-id resend + dedup; bit-identical
@@ -290,17 +288,6 @@ class Lattice:
                 reference="spark",
             ),
             LatticeConfig(
-                name="proc_federated",
-                description="federated sites hosted by real spawn-context "
-                            "worker processes over the frame protocol; "
-                            "bit-identical to the in-process federated twin "
-                            "(the transport must be semantically invisible)",
-                federated=True,
-                overrides={"transport": "proc"},
-                bitwise=True,
-                reference="federated",
-            ),
-            LatticeConfig(
                 name="tcp",
                 description="federated sites hosted by workers listening on "
                             "real TCP loopback addresses (dialable host:port "
@@ -366,11 +353,12 @@ class Lattice:
                 atol=1e-8,
             ),
             LatticeConfig(
-                name="proc_spark",
-                description="distributed RDD tasks executed in real worker "
-                            "processes over the frame protocol; bit-identical "
-                            "to the in-process spark twin",
-                overrides={**_SPARK_OVERRIDES, "transport": "proc"},
+                name="tcp_spark",
+                description="distributed RDD tasks executed in worker "
+                            "processes on real TCP addresses over the frame "
+                            "protocol; bit-identical to the in-process spark "
+                            "twin",
+                overrides={**_SPARK_OVERRIDES, "transport": "tcp"},
                 bitwise=True,
                 reference="spark",
             ),

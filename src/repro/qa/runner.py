@@ -180,7 +180,7 @@ class DifferentialRunner:
         run_inputs = dict(inputs)
         hosted: List[str] = []
         repro_config = config.build_config()
-        # proc-transport configs host inputs on the transport's proxy
+        # tcp-transport configs host inputs on the transport's proxy
         # registry so the sites live in the worker processes the run
         # will actually talk to
         registry = registry_for(repro_config)

@@ -279,3 +279,13 @@ class TestCli:
             main([str(script), flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_proc_transport_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        script = tmp_path / "s.dml"
+        script.write_text("print(1)\n")
+        with pytest.raises(SystemExit) as exc:
+            main([str(script), "--transport", "proc"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'proc'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""ProcTransport end to end: real worker processes, kills, replay, dedup.
+"""ProcTransport (the tcp transport) end to end: real worker processes,
+kills, replay, dedup.
 
 These tests spawn actual OS processes (spawn context), so they share one
 module-scoped transport with a fast heartbeat instead of paying a
@@ -69,7 +70,7 @@ class TestSiteOps:
         snap_after = transport.snapshot()
         assert snap_after["frames_sent"] > snap_before["frames_sent"]
         assert snap_after["bytes_sent"] > snap_before["bytes_sent"]
-        assert snap_after["mode"] == "proc"
+        assert snap_after["mode"] == "tcp"
 
 
 class TestTasks:

@@ -1,6 +1,6 @@
-"""Proc-transport chaos end to end (the PR's acceptance bar).
+"""Worker-process chaos end to end.
 
-With ``--transport proc``, a SIGKILLed federated site worker and a
+With ``--transport tcp``, a SIGKILLed federated site worker and a
 SIGKILLed RDD task executor must each respawn — with publication replay
 on the federated side — and the run must complete *bit-identical* to the
 fault-free in-process twin.  A checkpointed run whose workers died must
@@ -93,7 +93,7 @@ class TestFederatedWorkerKills:
         data, split, inputs = _l2svm_inputs()
         clean_w, clean_obj, __ = _run_l2svm(ReproConfig(), data, split, inputs)
         chaos_config = ReproConfig(
-            transport="proc",
+            transport="tcp",
             fault_spec="fed.worker:fail=2",  # SIGKILL on the first two requests
             fault_seed=11,
             enable_stats=True,
@@ -103,7 +103,7 @@ class TestFederatedWorkerKills:
         np.testing.assert_array_equal(chaos_w, clean_w)
         assert chaos_obj == clean_obj
         section = ml.stats().snapshot()["transport"]
-        assert section["mode"] == "proc"
+        assert section["mode"] == "tcp"
         assert section["worker_deaths"] >= 1
         assert section["worker_respawns"] >= 1
         assert section["replayed_publications"] >= 1
@@ -112,7 +112,7 @@ class TestFederatedWorkerKills:
         data, split, inputs = _l2svm_inputs(seed=9)
         clean_w, clean_obj, __ = _run_l2svm(ReproConfig(), data, split, inputs)
         proc_w, proc_obj, __ = _run_l2svm(
-            ReproConfig(transport="proc"), data, split, inputs
+            ReproConfig(transport="tcp"), data, split, inputs
         )
         np.testing.assert_array_equal(proc_w, clean_w)
         assert proc_obj == clean_obj
@@ -121,7 +121,7 @@ class TestFederatedWorkerKills:
         # privacy tests key off per-site message/byte counters; they must
         # keep counting when the site lives in another process
         data, split, inputs = _l2svm_inputs(seed=13)
-        config = ReproConfig(transport="proc", enable_stats=True)
+        config = ReproConfig(transport="tcp", enable_stats=True)
         registry = registry_for(config)
         registry.clear()
         _host(registry, data, split)
@@ -148,7 +148,7 @@ class TestRddWorkerKills:
         inputs = {"X": rng.random((12, 10)), "Y": rng.random((10, 6))}
         clean_z, clean_s = self._run(ReproConfig(**_SPARK), inputs)
         chaos_config = ReproConfig(
-            transport="proc",
+            transport="tcp",
             fault_spec="rdd.worker:fail=2",
             fault_seed=23,
             enable_stats=True,
@@ -180,7 +180,7 @@ class TestCheckpointResumeWithDeadWorkers:
     def test_resume_restores_a_run_whose_workers_died(self):
         rng = np.random.default_rng(29)
         inputs = {"X": rng.random((12, 10)), "Y": rng.random((10, 6))}
-        base = dict(transport="proc", **_SPARK)
+        base = dict(transport="tcp", **_SPARK)
         uninterrupted_z, uninterrupted_s = TestRddWorkerKills._run(
             TestRddWorkerKills(), ReproConfig(**base), inputs
         )
@@ -217,7 +217,7 @@ class TestCheckpointResumeWithDeadWorkers:
 
     def test_resume_restores_a_federated_run_whose_sites_died(self):
         data, split, inputs = _l2svm_inputs(seed=31)
-        config = ReproConfig(transport="proc")
+        config = ReproConfig(transport="tcp")
         uninterrupted_w, uninterrupted_obj, __ = _run_l2svm(
             config, data, split, inputs
         )
@@ -227,7 +227,7 @@ class TestCheckpointResumeWithDeadWorkers:
         _host(registry, data, split)
         try:
             crash_config = ReproConfig(
-                transport="proc",
+                transport="tcp",
                 checkpoint_dir=ckpt_dir, checkpoint_every=1,
                 enable_lineage=True,
                 fault_spec="checkpoint.boundary:crash=3",
@@ -238,7 +238,7 @@ class TestCheckpointResumeWithDeadWorkers:
                 )
             assert self._kill_transport_workers() > 0
             resume_config = ReproConfig(
-                transport="proc", checkpoint_dir=ckpt_dir,
+                transport="tcp", checkpoint_dir=ckpt_dir,
                 checkpoint_every=1, enable_lineage=True,
             )
             ml = MLContext(resume_config)
@@ -260,20 +260,19 @@ class TestQaLatticeProcConfigs:
         from repro.qa.lattice import Lattice
 
         lattice = Lattice.default()
-        assert lattice["proc_federated"].bitwise
-        assert lattice["proc_federated"].reference == "federated"
-        assert lattice["proc_federated"].overrides["transport"] == "proc"
-        assert lattice["proc_spark"].bitwise
-        assert lattice["proc_spark"].reference == "spark"
-        assert "proc_federated" not in Lattice.QUICK
-        assert "proc_spark" not in Lattice.QUICK
+        assert "proc_federated" not in lattice  # folded into ``tcp``
+        assert lattice["tcp_spark"].bitwise
+        assert lattice["tcp_spark"].reference == "spark"
+        assert lattice["tcp_spark"].overrides["transport"] == "tcp"
+        assert "tcp" not in Lattice.QUICK
+        assert "tcp_spark" not in Lattice.QUICK
 
     def test_differential_runner_finds_no_divergence_on_proc_twins(self):
         from repro.qa.lattice import Lattice
         from repro.qa.runner import DifferentialRunner
 
         FederatedWorkerRegistry.default().clear()
-        lattice = Lattice.default().subset(["proc_federated", "proc_spark"])
+        lattice = Lattice.default().subset(["tcp", "tcp_spark"])
         runner = DifferentialRunner(lattice=lattice)
         rng = np.random.default_rng(37)
         source = "Z = X %*% Y\ns = sum(Z)\n"

@@ -1,8 +1,9 @@
 """Scatter/gather site calls: every slot in flight at once, results as if
 the calls had run one by one.
 
-Real worker processes over ``proc`` and ``tcp``; each transport is shared
-by the module's tests (a Python+numpy spawn per test would dominate).
+Real worker processes over the one socket transport, built twice: ``proc``
+with the default link-repair backoff, ``tcp`` with a fast one. Each is
+shared by the module's tests (a Python+numpy spawn per test would dominate).
 """
 
 import socket
@@ -22,7 +23,6 @@ from repro.federated.tensor import (
 )
 from repro.net import registry_for
 from repro.net.proc import ProcTransport
-from repro.net.tcp import TcpTransport
 from repro.net.transport import STAT_KEYS, InProcTransport, for_config
 from repro.tensor import BasicTensorBlock
 from repro.types import Direction
@@ -40,8 +40,8 @@ def proc():
 
 @pytest.fixture(scope="module")
 def tcp():
-    t = TcpTransport(reconnect_backoff_ms=1.0, reconnect_backoff_max_ms=5.0,
-                     **_FAST)
+    t = ProcTransport(reconnect_backoff_ms=1.0, reconnect_backoff_max_ms=5.0,
+                      **_FAST)
     yield t
     t.close()
 
@@ -278,7 +278,7 @@ class TestScatteredRequestsCounter:
                 ReproConfig(transport="tcp", enable_resilience=True)
             )
         finally:
-            TcpTransport.default().close()
+            ProcTransport.default().close()
         assert inproc_n == 0
         assert tcp_n > 0
         assert bound_n == 0
@@ -305,7 +305,7 @@ for (i in 1:10) {
 """
 
     def test_sites_and_log_keep_only_the_publications(self):
-        config = ReproConfig(transport="proc")
+        config = ReproConfig(transport="tcp")
         transport = for_config(config)
         registry = transport.registry()
         registry.clear()

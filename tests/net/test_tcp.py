@@ -1,26 +1,37 @@
-"""TcpTransport end to end: dialable addresses, severed links, reconnects.
+"""The tcp transport end to end: dialable addresses, severed links,
+reconnects, and worker lifetimes.
 
 These tests spawn actual OS processes (spawn context), so they share one
 module-scoped transport with a fast heartbeat and near-zero reconnect
 backoff instead of paying a Python+numpy interpreter start per test.
 """
 
+import json
+import multiprocessing
 import os
+import signal
 import socket
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import ReproConfig
+from repro.errors import FrameProtocolError, TransportError
+from repro.net import pool as pool_mod
+from repro.net.chaos import ChaosTransport
+from repro.net.pool import WorkerPool
 from repro.net.proc import ProcTransport
-from repro.net.tcp import TcpTransport
 from repro.tensor import BasicTensorBlock
 from repro.tensor import ops
 
 
 @pytest.fixture(scope="module")
 def transport():
-    t = TcpTransport(site_workers=2, task_workers=1, heartbeat_s=0.1,
+    t = ProcTransport(site_workers=2, task_workers=1, heartbeat_s=0.1,
                      request_timeout_s=20.0, reconnect_backoff_ms=1.0,
                      reconnect_backoff_max_ms=5.0)
     yield t
@@ -49,7 +60,9 @@ class TestAddressRegistry:
     def test_workers_register_dialable_addresses(self, transport, registry):
         _host(registry, "tcp-a:9001", np.ones((2, 2)))
         owner = transport._owner("tcp-a:9001")
-        host, port = transport._addresses[("fed", owner)]
+        address = transport.snapshot()["addresses"][f"fed-{owner}"]
+        host, port = address.rsplit(":", 1)
+        port = int(port)
         assert port > 0
         # the address book entry is genuinely dialable
         probe = socket.create_connection((host, port), timeout=5.0)
@@ -68,7 +81,8 @@ class TestAddressRegistry:
         _host(registry, "tcp-c:9001", np.ones((2, 2)))
         owner = transport._owner("tcp-c:9001")
         handle = transport._pools["fed"][owner]
-        assert (handle.host, handle.port) == transport._addresses[("fed", owner)]
+        assert transport.snapshot()["addresses"][f"fed-{owner}"] == \
+            f"{handle.host}:{handle.port}"
 
 
 class TestRoundTrips:
@@ -143,13 +157,14 @@ class TestLinkDownVsPeerDead:
         fresh = transport._pools["fed"][owner]
         assert fresh.pid != pid_before
         assert (fresh.host, fresh.port) != addr_before
-        assert transport._addresses[("fed", owner)] == (fresh.host, fresh.port)
+        assert transport.snapshot()["addresses"][f"fed-{owner}"] == \
+            f"{fresh.host}:{fresh.port}"
 
 
 class TestLifecycle:
     def test_bye_drains_workers_gracefully(self):
-        t = TcpTransport(site_workers=1, task_workers=1, heartbeat_s=0.1,
-                         request_timeout_s=20.0)
+        t = ProcTransport(site_workers=1, task_workers=1, heartbeat_s=0.1,
+                          request_timeout_s=20.0)
         reg = t.registry()
         _host(reg, "tcp-drain:9001", np.ones((2, 2)))
         procs = [h.process for pool in t._pools.values()
@@ -162,16 +177,96 @@ class TestLifecycle:
 
     def test_default_singleton_is_config_keyed(self):
         # a plain default() and a default-config default() must agree...
-        a = TcpTransport.default()
-        b = TcpTransport.default(ReproConfig(transport="tcp"))
+        a = ProcTransport.default()
+        b = ProcTransport.default(ReproConfig(transport="tcp"))
         assert a is b
-        # ...and the tcp and proc singletons never alias each other
-        assert TcpTransport.default() is not ProcTransport.default()
+        # ...and the plain and chaos singletons never alias each other
+        assert ChaosTransport.default() is not ProcTransport.default()
         # changed transport knobs rebuild the singleton
-        c = TcpTransport.default(
+        c = ProcTransport.default(
             ReproConfig(transport="tcp", heartbeat_interval_s=0.11)
         )
         assert c is not b
         assert c.heartbeat_s == 0.11
         c.close()
-        ProcTransport.default().close()
+        ChaosTransport.default().close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        coordinator = subprocess.Popen(
+            [sys.executable, "-c", _COORDINATOR], stdout=subprocess.PIPE,
+            env=env,
+        )
+        pids = []
+        try:
+            pids = json.loads(coordinator.stdout.readline())
+            assert len(pids) == 2 and all(map(_running, pids))
+            coordinator.kill()
+            coordinator.wait(timeout=10.0)
+            # the workers' heartbeat is 0.1 s: ten windows is plenty
+            deadline = time.monotonic() + 1.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(_running, pids))
+        finally:
+            coordinator.kill()
+            coordinator.wait(timeout=10.0)
+            coordinator.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("failure", ["ready", "dial", "pid"])
+    def test_a_failed_spawn_leaves_no_process(self, monkeypatch, failure):
+        if failure == "ready":
+            def unreadable(sock, who):
+                raise FrameProtocolError(f"{who}: injected bad READY")
+
+            monkeypatch.setattr(pool_mod, "recv_ready", unreadable)
+        elif failure == "dial":
+            def refused(self, host, port):
+                raise ConnectionRefusedError(f"{host}:{port} injected")
+
+            monkeypatch.setattr(WorkerPool, "_dial", refused)
+        else:
+            dial = WorkerPool._dial
+
+            def stranger(self, host, port):
+                sock, pid = dial(self, host, port)
+                return sock, pid + 1
+
+            monkeypatch.setattr(WorkerPool, "_dial", stranger)
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool({"rdd": 1}, heartbeat_s=0.1, respawn_limit=1)
+        try:
+            with pytest.raises((TransportError, OSError)):
+                pool.round_trip("rdd", 0, ("task", list))
+        finally:
+            pool.close()
+        assert set(multiprocessing.active_children()) <= before
+
+
+_COORDINATOR = """
+import json
+import time
+
+from repro.net.proc import ProcTransport
+
+transport = ProcTransport(site_workers=1, task_workers=1, heartbeat_s=0.1)
+transport.registry().start_site("orphan:9001")
+transport.run_task(list)
+print(json.dumps([handle.pid for pool in transport._pools.values()
+                  for handle in pool]), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False

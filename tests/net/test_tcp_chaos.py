@@ -15,7 +15,7 @@ from repro.api.mlcontext import MLContext
 from repro.config import ReproConfig
 from repro.net import registry_for
 from repro.net.chaos import ChaosTransport, spec_targets_network
-from repro.net.tcp import TcpTransport
+from repro.net.proc import ProcTransport
 from repro.net.transport import for_config
 from repro.resilience.manager import ResilienceManager
 from repro.tensor import BasicTensorBlock
@@ -172,7 +172,7 @@ class TestRouting:
 
     def test_for_config_picks_chaos_only_for_net_specs(self):
         plain = for_config(ReproConfig(transport="tcp"))
-        assert type(plain) is TcpTransport
+        assert type(plain) is ProcTransport
         chaos = for_config(ReproConfig(
             transport="tcp", fault_spec="net.dup:p=0.5", fault_seed=1
         ))
@@ -181,7 +181,7 @@ class TestRouting:
         killer = for_config(ReproConfig(
             transport="tcp", fault_spec="fed.worker:fail=1", fault_seed=1
         ))
-        assert type(killer) is TcpTransport
+        assert type(killer) is ProcTransport
 
 
 L2SVM_SCRIPT = """

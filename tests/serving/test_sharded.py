@@ -88,6 +88,28 @@ class TestShardedScoring:
         got = service.score("alpha", x, timeout=30.0)
         assert got.shape == (1, 1)  # plane still healthy afterwards
 
+    def test_severed_link_is_reconnected_not_respawned(self, rig):
+        # a scoring worker listens and is dialled like every pool worker:
+        # a lost link is redialled and the batch resent under its id, and
+        # the worker keeps its attached models
+        service, _ = rig
+        x = np.random.default_rng(3).standard_normal((4, FEATURES))
+        want = service.score("alpha", x, timeout=30.0)
+        before = service.snapshot()
+        service._pool._pools["score"][0].sock.close()
+        # the loops share one queue: score until slot 0 took a batch
+        for __ in range(100):
+            got = service.score("alpha", x, timeout=30.0)
+            assert np.array_equal(got, want)
+            snap = service.snapshot()
+            if snap["workers"]["0"]["batches"] > \
+                    before["workers"]["0"]["batches"]:
+                break
+        assert snap["transport"]["reconnects"] == \
+            before["transport"]["reconnects"] + 1
+        assert snap["transport"]["worker_respawns"] == \
+            before["transport"]["worker_respawns"]
+
 
 class TestOneQueue:
     def test_burst_of_one_model_runs_on_both_workers(self):

@@ -72,8 +72,12 @@ class TestReproConfig:
             ReproConfig(**kwargs)
 
     def test_transport_modes_accepted(self):
-        for mode in ("inproc", "proc", "tcp"):
+        for mode in ("inproc", "tcp"):
             assert ReproConfig(transport=mode).transport == mode
+
+    def test_proc_transport_is_gone(self):
+        with pytest.raises(ValueError, match=r"inproc\|tcp"):
+            ReproConfig(transport="proc")
 
     def test_budgets_derived(self):
         cfg = ReproConfig(memory_budget=1000, operator_memory_fraction=0.5,
