@@ -14,7 +14,9 @@ addresses, under two seeded fault families:
 
 The workloads are a row-federated L2SVM training loop (the faulted site
 worker's shards must stay bit-identical) and a distributed blocked
-matmul (the faulted executor's task is resent).  Every result is
+matmul (the faulted executor's task is resent).  The two sites live on
+different site workers, so every federated operation scatters under the
+faults exactly as it does without them (``scattered_requests``).  Every result is
 compared bit-for-bit against a fault-free in-process run, and a JSON
 report (CI asserts on it) is written when given a path.
 
@@ -35,8 +37,9 @@ from repro.net import for_config, registry_for
 from repro.net.transport import STAT_KEYS
 from repro.tensor import BasicTensorBlock
 
+#: ``crc32(address) % 2`` puts demo-a on site worker 0 and demo-c on worker 1.
 L2SVM_SCRIPT = """
-Xf = federated(addresses=list("demo-a:9001/X", "demo-b:9001/X"),
+Xf = federated(addresses=list("demo-a:9001/X", "demo-c:9001/X"),
                ranges=list(R1, R2))
 w = matrix(0, ncol(Xf), 1)
 for (i in 1:10) {
@@ -79,7 +82,7 @@ def run_federated(config):
     registry.start_site("demo-a:9001").put(
         "X", BasicTensorBlock.from_numpy(data[:split])
     )
-    registry.start_site("demo-b:9001").put(
+    registry.start_site("demo-c:9001").put(
         "X", BasicTensorBlock.from_numpy(data[split:])
     )
     try:
@@ -159,7 +162,8 @@ def main(argv=None) -> int:
                   f"replayed={section['replayed_publications']} "
                   f"partitions={section['partitions']} "
                   f"reconnects={section['reconnects']} "
-                  f"dedup_hits={section['dedup_hits']}")
+                  f"dedup_hits={section['dedup_hits']} "
+                  f"scattered={section['scattered_requests']}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -170,7 +174,9 @@ def main(argv=None) -> int:
           and all(s["worker_respawns"] > 0 for s in kill)
           and all(s["reconnects"] > 0 and s["dedup_hits"] > 0
                   and s["worker_respawns"] == 0 for s in wire)
-          and report["wire"]["federated"]["partitions"] > 0)
+          and report["wire"]["federated"]["partitions"] > 0
+          and all(report[family]["federated"]["scattered_requests"] > 0
+                  for family in report))
     return 0 if ok else 1
 
 

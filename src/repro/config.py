@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import tempfile
 from typing import Optional
 
 
@@ -41,7 +40,8 @@ class ReproConfig:
     #: overrides the fraction-derived budget when set.  Out-of-core smoke
     #: runs use it to pin the pool far below the working set.
     bufferpool_budget_override: Optional[int] = None
-    #: Directory for buffer-pool spill files (created lazily).
+    #: Directory for buffer-pool spill files, created at a pool's first
+    #: spill; None gives each spilling pool a temporary directory.
     spill_dir: Optional[str] = None
 
     # --- out-of-core ---------------------------------------------------------
@@ -232,13 +232,6 @@ class ReproConfig:
     def resilience_enabled(self) -> bool:
         """True when contexts should carry a :class:`ResilienceManager`."""
         return self.enable_resilience or self.fault_spec is not None
-
-    def resolve_spill_dir(self) -> str:
-        """The spill directory, creating a temporary one on first use."""
-        if self.spill_dir is None:
-            self.spill_dir = tempfile.mkdtemp(prefix="repro-spill-")
-        os.makedirs(self.spill_dir, exist_ok=True)
-        return self.spill_dir
 
     def copy(self, **overrides) -> "ReproConfig":
         """A new config with the given fields replaced."""

@@ -31,11 +31,24 @@ def _require_row_partitioned(fed: FederatedTensor, op: str) -> None:
 def channel_of(ctx):
     """The context's :class:`~repro.resilience.ResilientChannel`, or None.
 
-    Call sites pass the result as ``channel=``; a None channel keeps every
-    federated operation on the direct, zero-overhead request path.
+    Call sites pass the result as ``channel=``; a None channel sends every
+    batch of site requests once, with no fault draws, retries or failover.
     """
     faults = getattr(ctx, "faults", None)
     return faults.channel if faults is not None else None
+
+
+class _Unbound:
+    """The request path without a channel: each batch goes out once, and
+    the earliest failure is raised after every reply is in."""
+
+    @staticmethod
+    def scatter(point, sites, send, fallback=None):
+        outcomes = send(list(enumerate(sites)), None)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+        return outcomes
 
 
 def _call_sites(channel, requests, degrade: bool = False):
@@ -43,57 +56,60 @@ def _call_sites(channel, requests, degrade: bool = False):
 
     Returns ``(serving site, result)`` pairs in partition order, so the
     callers combine partials in the same order on every transport and
-    sums stay bit-identical.  Without a channel the requests go out
-    directly (:func:`_call_direct`: every site in flight at once when
-    they are remote).  With a resilient channel they run one at a time in
-    partition order: the seeded ``site.request`` / ``fed.worker`` /
-    ``net.*`` fault streams are drawn in call order, and that order must
-    replay.  The serving site is the primary or the replica the channel
-    failed over to; with ``degrade`` an unreachable partition yields
-    ``(None, None)`` instead of raising.
+    sums stay bit-identical.  The batch goes out through
+    :func:`_call_direct`, all sites in flight at once when they are
+    remote, and a resilient channel wraps it (:meth:`~repro.resilience.
+    ResilientChannel.scatter`: a request that failed transiently is
+    retried alone, or fails over to a replica, and its siblings keep their
+    replies).  The serving site is the primary or that replica; with
+    ``degrade`` an unreachable partition yields ``(None, None)``.
     """
-    if channel is None:
-        return _call_direct(requests, scatter=True)
-    fallback = (lambda: (None, None)) if degrade else None
-    return [
-        channel.call(
-            site, "site.request",
-            lambda target, m=method, a=args: (target, getattr(target, m)(*a)),
-            fallback=fallback,
-        )
-        for site, method, args in requests
-    ]
+    return (channel or _Unbound).scatter(
+        "site.request", [site for site, __, __ in requests],
+        lambda batch, on_reply: _call_direct(
+            [(target, *requests[i][1:]) for i, target in batch], on_reply),
+        (lambda: (None, None)) if degrade else None,
+    )
 
 
-def _call_direct(requests, scatter: bool):
-    """The requests without a channel: scattered through the transport
-    the sites share when they are remote proxies (and ``scatter``), in
-    partition order otherwise."""
+def _call_direct(requests, on_reply=None) -> list:
+    """Send one batch of ``(site, method, args)`` requests; each one's
+    ``(site, reply)`` or exception, in order, with ``on_reply(k)`` called
+    as the k-th is in.  Remote proxies of one transport are scattered
+    (:meth:`~repro.net.proc.ProcTransport.site_calls`); in-process sites
+    are called in partition order."""
     transports = {site.transport for site, __, __ in requests}
-    if scatter and len(transports) == 1 and None not in transports:
+    if len(transports) == 1 and None not in transports:
         (transport,) = transports
         replies = transport.site_calls(
-            [site.request(method, args) for site, method, args in requests]
+            [site.request(method, args) for site, method, args in requests],
+            on_reply,
         )
-        return [(site, reply) for (site, __, __), reply in zip(requests, replies)]
-    return [(site, getattr(site, method)(*args)) for site, method, args in requests]
+    else:
+        replies = []
+        for k, (site, method, args) in enumerate(requests):
+            try:
+                replies.append(getattr(site, method)(*args))
+            except Exception as exc:  # noqa: BLE001 - the request's outcome
+                replies.append(exc)
+            if on_reply is not None:
+                on_reply(k)
+    return [reply if isinstance(reply, BaseException) else (site, reply)
+            for (site, __, __), reply in zip(requests, replies)]
 
 
-def drop_site_temps(partitions, channel=None) -> None:
+def drop_site_temps(partitions) -> None:
     """Drop the ``_fedtmp*`` tensors behind ``partitions``: one request
-    per site.
+    per site, all in flight at once when the sites are remote.
 
     Housekeeping goes to the hosting sites directly — no retry, no
-    failover, no ``site.request`` faults — but a bound channel still
-    keeps it in order (see :func:`_call_sites`).
+    failover, no ``site.request`` faults.
     """
     names = {}
     for part in partitions:
         names.setdefault(part.site, []).append(part.tensor_name)
-    _call_direct(
-        [(site, "drop", (tuple(dropped),)) for site, dropped in names.items()],
-        scatter=channel is None,
-    )
+    _call_sites(None, [(site, "drop", (tuple(dropped),))
+                       for site, dropped in names.items()])
 
 
 def _store_at_sites(channel, requests, ranges) -> FederatedTensor:

@@ -285,10 +285,3 @@ class FederatedWorkerRegistry:
                 for address, until in self._unhealthy.items()
                 if until > now
             }
-
-    def total_bytes_transferred(self) -> int:
-        with self._lock:
-            return sum(
-                site.metrics["bytes_sent"] + site.metrics["bytes_received"]
-                for site in self._sites.values()
-            )

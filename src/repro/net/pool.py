@@ -18,9 +18,9 @@ A round trip is two phases — send a request (:meth:`WorkerPool.
 _send_request`), await its reply (:meth:`WorkerPool._await_reply`) — and
 :meth:`WorkerPool.scatter` runs a list of calls on top of them: it takes
 the slot locks in sorted order, sends to every distinct slot before it
-awaits any reply, and returns the replies in call order.  Calls that
-share a slot run one after the other.  :meth:`WorkerPool.round_trip` is
-the one-call case.
+awaits any reply, and returns each call's reply or exception in call
+order.  Calls that share a slot run one after the other.
+:meth:`WorkerPool.round_trip` is the one-call case, which raises.
 
 Failure model
 -------------
@@ -49,10 +49,11 @@ Failure model
 * **Wedge** — a worker that is alive but silent past
   ``request_timeout_s`` gets one same-id resend, then is killed and
   recovered like any other death.
-* **Chaos** — with a resilience manager bound, a round trip's fault
-  ``point`` (``fed.worker`` / ``rdd.worker`` / ``serve.worker``) SIGKILLs
-  the worker right after the request is sent, exercising exactly this
-  recovery path on a seeded schedule.
+* **Chaos** — with a resilience manager bound, a call's fault ``point``
+  (``fed.worker`` / ``rdd.worker`` / ``serve.worker``) SIGKILLs the worker
+  right after the request is sent, exercising exactly this recovery path
+  on a seeded schedule.  The draws follow the sends, which run on the
+  calling thread in sorted slot order, so a scatter replays too.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class _Call:
         self.request_id = request_id
         self.point = point
         self.topic = topic
-        #: A failed send, kept for the await phase's death loop.
+        #: A failed send or spawn, raised by the await phase.
         self.send_error: Optional[BaseException] = None
 
 
@@ -437,13 +438,18 @@ class WorkerPool:
     def round_trip(self, role: str, index: int, request: Tuple,
                    point: Optional[str] = None, topic: Optional[str] = None,
                    on_respawn: Optional[Callable[[List], None]] = None):
-        """Send one request and await its reply: a one-call :meth:`scatter`."""
-        return self.scatter([(role, index, request, point, topic)], on_respawn)[0]
+        """Send one request and await its reply: a one-call :meth:`scatter`
+        that raises the call's failure."""
+        (reply,) = self.scatter([(role, index, request, point, topic)], on_respawn)
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
     def scatter(self, calls: Sequence[Tuple],
-                on_respawn: Optional[Callable[[List], None]] = None) -> List:
-        """Run ``(role, index, request, point, topic)`` calls; replies in
-        call order.
+                on_respawn: Optional[Callable[[List], None]] = None,
+                on_reply: Optional[Callable[[int], None]] = None) -> List:
+        """Run ``(role, index, request, point, topic)`` calls; each call's
+        reply or exception, in call order.
 
         Every distinct slot gets its first request before any reply is
         awaited, so the workers compute at the same time.  Calls that land
@@ -456,13 +462,13 @@ class WorkerPool:
         the slot's publication log.  A slot that dies is respawned and its
         request resent with the same id (:meth:`_await_call`) while the
         other slots' replies wait in their sockets; ``on_respawn`` is
-        called with the replayed requests' replies after every respawn (on
-        the calling thread, under the slot locks).
+        called with the replayed requests' replies after every respawn,
+        and ``on_reply`` with each call's position once its outcome is in
+        (both on the calling thread, under the slot locks).
 
-        Every request that was sent is awaited even after a call failed —
-        an abandoned mutation would be missing from the publication log —
-        then the failure of the earliest call is raised.  Calls queued
-        behind a failure are not sent.
+        A failed call is that call's outcome and stops nothing: every
+        request is sent and awaited — an abandoned mutation would be
+        missing from the publication log.
         """
         queues: Dict[Tuple[str, int], List[_Call]] = {}
         for position, (role, index, request, point, topic) in enumerate(calls):
@@ -470,8 +476,7 @@ class WorkerPool:
                 position, role, index, request, serde.dumps(request),
                 self._next_id(), point, topic,
             ))
-        replies: List = [None] * len(calls)
-        failed: Optional[Tuple[int, BaseException]] = None
+        outcomes: List = [None] * len(calls)
         held: List[threading.RLock] = []
         slots = sorted(queues)
         try:
@@ -485,12 +490,13 @@ class WorkerPool:
             while in_flight:
                 call = in_flight.pop(0)
                 try:
-                    replies[call.position] = self._await_call(call, on_respawn)
-                except Exception as exc:  # noqa: BLE001 - raised below, after the drain
-                    if failed is None or call.position < failed[0]:
-                        failed = (call.position, exc)
+                    outcomes[call.position] = self._await_call(call, on_respawn)
+                except Exception as exc:  # noqa: BLE001 - the call's outcome
+                    outcomes[call.position] = exc
+                if on_reply is not None:
+                    on_reply(call.position)
                 queue = queues[call.role, call.index]
-                if queue and failed is None:
+                if queue:
                     # the slot's next request goes out while the other
                     # slots' replies are still outstanding
                     in_flight.append(queue.pop(0))
@@ -498,16 +504,15 @@ class WorkerPool:
         finally:
             for lock in reversed(held):
                 lock.release()
-        if failed is not None:
-            raise failed[1]
-        return replies
+        return outcomes
 
     def _send_call(self, call: "_Call", outstanding: int) -> None:
         """Phase one: put the call's request on the wire.
 
-        A send that finds the worker dead (or kills it: the fault point)
-        is remembered on the call and handled by the death loop of
-        :meth:`_await_call`, so the other slots still get their requests.
+        Any failure — a send that finds the worker dead (or kills it: the
+        fault point), a spawn that cannot start or dial the worker — is
+        remembered on the call and raised by :meth:`_await_call`, so the
+        other slots still get their requests and are awaited.
         """
         if outstanding:
             self._bump("scattered_requests")
@@ -516,13 +521,14 @@ class WorkerPool:
                 self._ensure(call.role, call.index), call.request_id,
                 call.body, call.point,
             )
-        except (TransportClosedError, FrameProtocolError) as exc:
+        except Exception as exc:  # noqa: BLE001 - raised by the await phase
             call.send_error = exc
 
     def _await_call(self, call: "_Call",
                     on_respawn: Optional[Callable[[List], None]]):
         """Phase two: the call's reply, surviving worker deaths by respawn
-        + publication replay + a resend with the SAME request id."""
+        + publication replay + a resend with the SAME request id; a failed
+        send that is not a death is raised as is."""
         role, index = call.role, call.index
         deaths = 0
         while True:

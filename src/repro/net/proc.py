@@ -29,9 +29,9 @@ import atexit
 import itertools
 import threading
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import FederatedError, TransportError
+from repro.errors import FederatedError
 from repro.federated.site import FederatedWorkerRegistry
 from repro.net.pool import WorkerPool
 from repro.net.transport import Transport
@@ -48,10 +48,12 @@ _MUTATING = frozenset(
 class RemoteSiteProxy:
     """The :class:`~repro.federated.site.FederatedSite` surface over RPC.
 
-    Federated instructions and the resilient channel only see this
-    surface, so the push-down semantics, privacy checks, and byte
-    accounting all run *worker-side*, unchanged.  Mutating calls are
-    recorded in the transport's publication log after they succeed.
+    Any public site method called on a proxy (``put``, ``fetch``,
+    ``execute_and_store``, ``drop``, ...) runs as one :meth:`ProcTransport.
+    site_call` on the worker hosting the site, so the push-down semantics,
+    privacy checks, and byte accounting all run *worker-side*, unchanged.
+    Mutating calls are recorded in the transport's publication log after
+    they succeed.
     """
 
     def __init__(self, transport: "ProcTransport", address: str):
@@ -64,60 +66,19 @@ class RemoteSiteProxy:
         """One :meth:`ProcTransport.site_calls` entry for this site."""
         return (self.address, method, args, {}, method in _MUTATING)
 
-    def _call(self, method: str, *args):
-        return self.transport.site_call(*self.request(method, args))
-
-    # hosting / reads
-    def put(self, name, block, constraint=None) -> None:
-        self._call("put", name, block, constraint)
-
-    def has(self, name) -> bool:
-        return self._call("has", name)
-
-    def constraint(self, name):
-        return self._call("constraint", name)
-
-    def metadata(self, name):
-        return self._call("metadata", name)
-
-    def fetch(self, name):
-        return self._call("fetch", name)
-
-    # execution
-    def execute_local(self, name, operation, payload_bytes=0, flops=0):
-        return self._call("execute_local", name, operation, payload_bytes, flops)
-
-    def execute_and_return(self, name, operation, payload_bytes=0, flops=0):
-        return self._call(
-            "execute_and_return", name, operation, payload_bytes, flops
-        )
-
-    def execute_and_store(self, name, out, operation, payload_bytes=0, flops=0):
-        return self._call(
-            "execute_and_store", name, out, operation, payload_bytes, flops
-        )
-
-    def update(self, name, block) -> None:
-        self._call("update", name, block)
-
-    def drop(self, names) -> int:
-        return self._call("drop", names)
-
-    # lifecycle (logged so a respawned incarnation lands in the same state)
-    def stop(self) -> None:
-        self._call("stop")
-
-    def start(self) -> None:
-        self._call("start")
+    def __getattr__(self, method: str):
+        if method.startswith("_"):
+            raise AttributeError(method)
+        return lambda *args: self.transport.site_call(*self.request(method, args))
 
     @property
     def is_down(self) -> bool:
-        return self._call("get_is_down")
+        return self.get_is_down()
 
     @property
     def metrics(self) -> dict:
         """A fresh snapshot of the worker-side site's transfer accounting."""
-        return self._call("get_metrics")
+        return self.get_metrics()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RemoteSiteProxy({self.address})"
@@ -174,14 +135,6 @@ class ProxyRegistry(FederatedWorkerRegistry):
     def clear(self) -> None:
         self._transport.clear_sites()
         super().clear()
-
-    def total_bytes_transferred(self) -> int:
-        with self._lock:
-            proxies = list(self._sites.values())
-        return sum(
-            proxy.metrics["bytes_sent"] + proxy.metrics["bytes_received"]
-            for proxy in proxies
-        )
 
 
 class ProcTransport(WorkerPool, Transport):
@@ -240,11 +193,16 @@ class ProcTransport(WorkerPool, Transport):
     def site_call(self, address: str, method: str, args: Tuple = (),
                   kwargs: Optional[dict] = None, mutate: bool = False):
         """One RPC to the worker hosting ``address``; log mutations."""
-        return self.site_calls([(address, method, args, kwargs, mutate)])[0]
+        (reply,) = self.site_calls([(address, method, args, kwargs, mutate)])
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
 
-    def site_calls(self, calls: Sequence[Tuple]) -> List:
+    def site_calls(self, calls: Sequence[Tuple],
+                   on_reply: Optional[Callable[[int], None]] = None) -> List:
         """Scatter ``(address, method, args, kwargs, mutate)`` site RPCs
-        (:meth:`WorkerPool.scatter`); replies in call order.
+        (:meth:`WorkerPool.scatter`); each reply or exception in call
+        order.
 
         A ``drop`` first prunes the address's topic of the
         ``execute_and_store`` requests that created the dropped names —
@@ -265,7 +223,7 @@ class ProcTransport(WorkerPool, Transport):
                 "fed", owner, ("site", address, method, args, kwargs or {}),
                 "fed.worker", address if mutate else None,
             ))
-        return self.scatter(scattered)
+        return self.scatter(scattered, on_reply=on_reply)
 
     def registry_call(self, address: str, method: str, log: bool = True) -> None:
         """A registry-level RPC (site creation/removal) for one address."""
@@ -278,15 +236,13 @@ class ProcTransport(WorkerPool, Transport):
         self.forget("fed", self._owner(address), address)
 
     def clear_sites(self) -> None:
-        """Wipe hosted state on every live site worker and drop the log."""
-        for index, handle in enumerate(self._pools["fed"]):
+        """Drop the log and wipe hosted state on every live site worker
+        (best effort: a worker that cannot answer is left as it is)."""
+        for index in range(len(self._pools["fed"])):
             self.forget("fed", index)
-            if handle is None:
-                continue
-            try:
-                self.round_trip("fed", index, ("reg", "clear", ()))
-            except (TransportError, OSError):  # pragma: no cover - dying pool
-                pass
+        self.scatter([("fed", index, ("reg", "clear", ()), None, None)
+                      for index, handle in enumerate(self._pools["fed"])
+                      if handle is not None])
 
     def _owner(self, address: str) -> int:
         return zlib.crc32(address.encode()) % len(self._pools["fed"])

@@ -217,8 +217,6 @@ class DifferentialRunner:
         finally:
             for address in hosted:
                 registry.stop_site(address)
-            if repro_config.spill_dir is not None:
-                shutil.rmtree(repro_config.spill_dir, ignore_errors=True)
 
     def _execute_crash_resume(
         self,
@@ -254,9 +252,6 @@ class DifferentialRunner:
             return ml.execute(source, inputs=inputs, outputs=output_names)
         finally:
             shutil.rmtree(ckpt_dir, ignore_errors=True)
-            for cfg in (crash_config, resume_config):
-                if cfg.spill_dir is not None and cfg.spill_dir != repro_config.spill_dir:
-                    shutil.rmtree(cfg.spill_dir, ignore_errors=True)
 
     def _federate_inputs(
         self,
@@ -278,8 +273,13 @@ class DifferentialRunner:
                 continue
             rows, cols = data.shape
             split = rows // 2
-            addr_a = f"qa-{seed}-{config.name}-{name}-a:9001"
-            addr_b = f"qa-{seed}-{config.name}-{name}-b:9001"
+            # "-0" and "-1" differ in one bit at a fixed distance from the
+            # end, which by CRC linearity flips the lowest bit of crc32
+            # whatever the prefix: the halves land on the two different
+            # site workers of the tcp transport (crc32 % 2), so every
+            # federated operation scatters
+            addr_a = f"qa-{seed}-{config.name}-{name}-0:9001"
+            addr_b = f"qa-{seed}-{config.name}-{name}-1:9001"
             registry.start_site(addr_a).put(
                 name, BasicTensorBlock.from_numpy(data[:split])
             )

@@ -36,6 +36,7 @@ import itertools
 import os
 import pickle
 import shutil
+import tempfile
 import threading
 from typing import Dict, Optional, Tuple
 
@@ -53,7 +54,8 @@ from repro.types import ValueType
 #: provably dead, so concurrent pools of live processes are never touched.
 PID_FILE = "owner.pid"
 
-#: Prefix of spill directories created by ``ReproConfig.resolve_spill_dir``.
+#: Prefix of the temporary spill directory a pool makes at its first spill
+#: when no ``spill_dir`` is configured.
 SPILL_PREFIX = "repro-spill-"
 
 #: Blocks smaller than this (cells) are never worth compressing.
@@ -144,13 +146,18 @@ class CacheEntry:
 class BufferPool:
     """LRU buffer pool with pinning and (optionally compressed) spills."""
 
-    def __init__(self, budget: int, spill_dir: str, resilience=None,
+    def __init__(self, budget: int, spill_dir: Optional[str] = None,
+                 resilience=None,
                  compress_spills: bool = False,
                  compressed_exec: bool = False):
         if budget <= 0:
             raise ValueError("buffer pool budget must be positive")
         self.budget = budget
-        self.spill_dir = spill_dir
+        #: Created at the first spill (a fresh temporary directory when
+        #: None), so a pool that never spills leaves nothing on disk.
+        self.spill_dir = os.path.abspath(spill_dir) if spill_dir else None
+        self._spill_root = (os.path.dirname(self.spill_dir) if spill_dir
+                            else tempfile.gettempdir())
         #: Optional :class:`repro.resilience.ResilienceManager`.  When set,
         #: spill writes/reads retry transient I/O failures (``spill.write``
         #: and ``spill.read`` injection points); writes that stay broken
@@ -163,8 +170,7 @@ class BufferPool:
         self._pid_written = False
         # One startup scavenge per parent directory: reclaim spill dirs a
         # crashed process left behind (its pid is gone, ours differs).
-        _scavenge_once(os.path.dirname(os.path.abspath(spill_dir)),
-                       os.path.abspath(spill_dir))
+        _scavenge_once(self._spill_root, self.spill_dir)
         self._entries: Dict[int, CacheEntry] = {}
         self._lru = collections.OrderedDict()  # entry_id -> None, oldest first
         self._ids = itertools.count(1)
@@ -314,13 +320,11 @@ class BufferPool:
                 except OSError:
                     pass
             try:
-                os.rmdir(self.spill_dir)
+                if self.spill_dir is not None:
+                    os.rmdir(self.spill_dir)
             except OSError:
                 pass  # never created, already gone, or other pools still spill here
-        scavenge_spill_dirs(
-            os.path.dirname(os.path.abspath(self.spill_dir)),
-            skip=(os.path.abspath(self.spill_dir),),
-        )
+        scavenge_spill_dirs(self._spill_root, skip=(self.spill_dir,))
 
     # --- internals ------------------------------------------------------------------
 
@@ -444,7 +448,10 @@ class BufferPool:
             if name in self.stats:
                 self.stats[name] += 1
 
-    def _ensure_spill_dir(self) -> None:
+    def _ensure_spill_dir(self) -> str:
+        if self.spill_dir is None:
+            self.spill_dir = tempfile.mkdtemp(prefix=SPILL_PREFIX,
+                                              dir=self._spill_root)
         os.makedirs(self.spill_dir, exist_ok=True)
         if not self._pid_written:
             atomic_write_bytes(
@@ -452,6 +459,7 @@ class BufferPool:
                 f"{os.getpid()}\n".encode("ascii"),
             )
             self._pid_written = True
+        return self.spill_dir
 
     def _spill_write(self, entry: CacheEntry) -> None:
         """Serialise a payload to its spill file (``spill.write`` point).
@@ -461,24 +469,24 @@ class BufferPool:
         """
         resilience = self.resilience
         blob, compressed = self._serialize(entry.payload)
-        path = os.path.join(self.spill_dir,
-                            f"entry-{id(self)}-{entry.entry_id}.bin")
+        name = f"entry-{id(self)}-{entry.entry_id}.bin"
 
-        def write_once() -> None:
+        def write_once() -> str:
             if resilience is not None:
                 resilience.fire("spill.write")
-            self._ensure_spill_dir()
+            path = os.path.join(self._ensure_spill_dir(), name)
             # Atomic publish: a crash mid-write leaves only a temp file, so
             # a later restore never unpickles a truncated payload, and a
             # rewrite replaces the entry's previous spill in place.
             atomic_write_bytes(path, blob)
+            return path
 
         if resilience is None:
-            write_once()
+            path = write_once()
         else:
             from repro.resilience.retry import call_with_retry
 
-            call_with_retry(
+            path = call_with_retry(
                 write_once, resilience.retry_policy,
                 (InjectedFaultError, OSError),
                 sleep=None, stats=resilience.stats, kind="spill",

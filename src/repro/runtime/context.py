@@ -65,7 +65,7 @@ class ExecutionContext:
         #: and parfor frames never snapshot.
         self.checkpoints = checkpoints
         self.pool = pool or BufferPool(
-            config.bufferpool_budget, config.resolve_spill_dir(),
+            config.bufferpool_budget, config.spill_dir,
             resilience=faults,
             compress_spills=config.spill_compress,
             compressed_exec=config.compressed_exec,
@@ -220,7 +220,7 @@ class ExecutionContext:
         the site's replay log has to stay whole.
         """
         from repro.errors import FederatedError, TransportError
-        from repro.federated.instructions import channel_of, drop_site_temps
+        from repro.federated.instructions import drop_site_temps
 
         mine = {id(part) for part in self._site_temps}
         held = set()
@@ -234,7 +234,7 @@ class ExecutionContext:
         temps = [p for p in self._site_temps if id(p.site) not in held]
         self._site_temps.clear()
         try:
-            drop_site_temps(temps, channel_of(self))
+            drop_site_temps(temps)
         except (FederatedError, TransportError, OSError):
             pass  # best effort: e.g. the transport was closed first
 

@@ -128,7 +128,7 @@ class ModelRegistry:
             # sub-DAG is identical across requests
             config = ReproConfig(enable_lineage=True, reuse_policy="full")
         self.config = config
-        self.pool = BufferPool(config.bufferpool_budget, config.resolve_spill_dir())
+        self.pool = BufferPool(config.bufferpool_budget, config.spill_dir)
         self._models: Dict[str, Dict[int, ServableModel]] = {}
         self._lock = threading.RLock()
         self._stats = None

@@ -26,8 +26,10 @@ from repro.net import registry_for
 from repro.net.proc import ProcTransport
 from repro.tensor import BasicTensorBlock
 
+#: The two sites sit on different site workers (crc32 % 2), so every
+#: federated operation scatters under the faults.
 L2SVM_SCRIPT = """
-Xf = federated(addresses=list("net-a:9001/X", "net-b:9001/X"),
+Xf = federated(addresses=list("net-a:9001/X", "net-c:9001/X"),
                ranges=list(R1, R2))
 w = matrix(0, ncol(Xf), 1)
 for (i in 1:8) {
@@ -71,7 +73,7 @@ def _host(registry, data, split):
     registry.start_site("net-a:9001").put(
         "X", BasicTensorBlock.from_numpy(data[:split])
     )
-    registry.start_site("net-b:9001").put(
+    registry.start_site("net-c:9001").put(
         "X", BasicTensorBlock.from_numpy(data[split:])
     )
 

@@ -22,7 +22,7 @@ from repro.federated.tensor import (
     FederatedTensor,
 )
 from repro.net import registry_for
-from repro.net.proc import ProcTransport
+from repro.net.proc import ProcTransport, RemoteSiteProxy
 from repro.net.transport import STAT_KEYS, InProcTransport, for_config
 from repro.tensor import BasicTensorBlock
 from repro.types import Direction
@@ -134,17 +134,58 @@ class TestAliasedSlots:
         def add_one(block):
             return BasicTensorBlock.from_numpy(block.to_numpy() + 1.0)
 
+        site_a, site_b = (transport.registry().site(x) for x in (a, b))
         with pytest.raises(Exception, match="unknown tensor"):
-            transport.site_calls([
-                (a, "fetch", ("missing",), None, False),
-                (b, "execute_and_store", ("X", "X", add_one, 0, 0), None, True),
+            fed_ops._call_sites(None, [
+                (site_a, "fetch", ("missing",)),
+                (site_b, "execute_and_store", ("X", "X", add_one, 0, 0)),
             ])
         # b's mutation was in flight when a failed: it was awaited and
         # logged, so the next round trip reads a clean socket
-        site_b = transport.registry().site(b)
         assert site_b.fetch("X").to_numpy()[0, 0] == 1.0
         log = transport._log[("fed", transport._owner(b))][b]
         assert sum(1 for r in log if r[2] == "execute_and_store") == 1
+
+
+class TestFailedSpawnMidScatter:
+    def test_sent_requests_are_awaited_before_the_spawn_error(self, monkeypatch):
+        transport = ProcTransport(**_FAST)
+        try:
+            a, b = _addresses_on(transport, [0, 1], "spawn")
+            site_a = transport.registry().start_site(a)  # spawns slot 0 only
+            spawn = transport._spawn
+
+            def refused(role, index, incarnation):
+                if (role, index) == ("fed", 1):
+                    raise ConnectionRefusedError("worker refused the dial")
+                return spawn(role, index, incarnation)
+
+            monkeypatch.setattr(transport, "_spawn", refused)
+            block = BasicTensorBlock.from_numpy(np.ones((1, 1)))
+            with pytest.raises(ConnectionRefusedError):
+                fed_ops._call_sites(None, [
+                    (site_a, "put", ("Y", block, None)),
+                    (RemoteSiteProxy(transport, b), "has", ("X",)),
+                ])
+            # slot 0's mutation was in flight: awaited and logged
+            log = transport._log[("fed", 0)][a]
+            assert [r[2:4] for r in log if r[2] == "put"] == [("put", ("Y", block, None))]
+            assert transport.round_trip(
+                "fed", 0, ("site", a, "has", ("Y",), {})) is True
+        finally:
+            transport.close()
+
+    def test_on_reply_sees_every_position(self, transport):
+        a, b = _addresses_on(transport, [0, 1], "reply")
+        for address in (a, b):
+            transport.registry().start_site(address)
+        seen = []
+        replies = transport.site_calls(
+            [(address, "has", ("X",), None, False) for address in (b, a, b)],
+            seen.append,
+        )
+        assert replies == [False, False, False]
+        assert sorted(seen) == [0, 1, 2]
 
 
 class TestSeveredLinkMidScatter:
@@ -272,8 +313,7 @@ class TestScatteredRequestsCounter:
         try:
             inproc_w, inproc_n = _run_l2svm(ReproConfig())
             tcp_w, tcp_n = _run_l2svm(ReproConfig(transport="tcp"))
-            # a bound fault plan keeps partition order: its seeded fault
-            # streams are drawn per call and must replay
+            # a bound channel wraps the batch: the same scatter
             bound_w, bound_n = _run_l2svm(
                 ReproConfig(transport="tcp", enable_resilience=True)
             )
@@ -281,7 +321,7 @@ class TestScatteredRequestsCounter:
             ProcTransport.default().close()
         assert inproc_n == 0
         assert tcp_n > 0
-        assert bound_n == 0
+        assert bound_n > 0
         np.testing.assert_array_equal(tcp_w, inproc_w)
         np.testing.assert_array_equal(bound_w, inproc_w)
 

@@ -184,8 +184,10 @@ class TestRouting:
         assert type(killer) is ProcTransport
 
 
+#: The two sites sit on different site workers (crc32 % 2), so every
+#: federated operation scatters under the faults.
 L2SVM_SCRIPT = """
-Xf = federated(addresses=list("chaos-e2e-a:9001/X", "chaos-e2e-b:9001/X"),
+Xf = federated(addresses=list("chaos-e2e-a:9001/X", "chaos-e2e-c:9001/X"),
                ranges=list(R1, R2))
 w = matrix(0, ncol(Xf), 1)
 for (i in 1:10) {
@@ -214,7 +216,7 @@ def _run_l2svm(config):
     registry.start_site("chaos-e2e-a:9001").put(
         "X", BasicTensorBlock.from_numpy(data[:split])
     )
-    registry.start_site("chaos-e2e-b:9001").put(
+    registry.start_site("chaos-e2e-c:9001").put(
         "X", BasicTensorBlock.from_numpy(data[split:])
     )
     try:

@@ -169,6 +169,28 @@ class TestClose:
         pool.close()
         pool.close()  # idempotent
 
+    def test_unconfigured_dir_is_made_at_the_first_spill(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from repro.config import ReproConfig
+        from repro.runtime.context import ExecutionContext
+        from repro.serving.registry import ModelRegistry
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for __ in range(3):
+            ctx = ExecutionContext(None, ReproConfig())
+            ctx.close()
+            ctx.pool.close()
+        ModelRegistry().close()
+        assert list(tmp_path.iterdir()) == []
+        pool = BufferPool(budget=1000)
+        pool.put("a" * 100, 600)
+        pool.put("b" * 100, 600)  # evicts the first entry
+        (spill,) = tmp_path.iterdir()
+        assert spill.name.startswith("repro-spill-")
+        pool.close()
+        assert list(tmp_path.iterdir()) == []
+
     def test_close_leaves_shared_dir_with_foreign_files(self, tmp_path):
         pool = BufferPool(budget=1000, spill_dir=str(tmp_path))
         other = tmp_path / "someone-elses-spill.bin"

@@ -104,11 +104,18 @@ class TestReproConfig:
         assert modified is not cfg
 
     def test_spill_dir_created(self, tmp_path):
-        cfg = ReproConfig(spill_dir=str(tmp_path / "spill"))
-        resolved = cfg.resolve_spill_dir()
+        # a configured spill_dir is created when the pool first spills
         import os
 
-        assert os.path.isdir(resolved)
+        from repro.runtime.bufferpool import BufferPool
+
+        cfg = ReproConfig(spill_dir=str(tmp_path / "spill"))
+        pool = BufferPool(1000, cfg.spill_dir)
+        pool.put("a" * 100, 600)
+        assert not os.path.exists(cfg.spill_dir)
+        pool.put("b" * 100, 600)  # evicts the first entry
+        assert os.path.isdir(cfg.spill_dir)
+        pool.close()
 
     def test_default_config_singleton(self):
         assert default_config() is default_config()
