@@ -1,100 +1,128 @@
-"""JMLC-style prepared scripts: precompile once, execute repeatedly.
-
-The JMLC API of SystemDS targets embedded, low-latency scoring: a script is
-compiled once into a runtime program and then executed many times with
-different in-memory inputs, skipping parsing and compilation on the hot
-path (paper Figure 3, step 1).
+"""JMLC-style prepared scripts: compile once, execute repeatedly (paper
+Figure 3, step 1), and the one path every script run takes.
 
     ps = PreparedScript("yhat = X %*% B", inputs=["X", "B"], outputs=["yhat"])
     for batch in batches:
         out = ps.execute(X=batch, B=model)
 
-Inputs are named in lineage by their content, so whenever the same data is
-passed again — the same object or an equal copy — the reuse cache serves
-the sub-computations that depend on it alone (the model side of a scoring
-script).  ``execute`` is safe for concurrent callers: each call gets a
-fresh execution context, and the reuse cache is internally synchronised —
-the serving subsystem (``repro.serving``) scores one prepared script from
-many worker threads at once.
+``MLContext.execute`` prepares and runs a ``PreparedScript`` too.  Programs
+live in one process-wide LRU cache keyed by the script digest, the outputs
+and ``config_scope(config)``.  A program compiles with no input statistics
+(dynamic recompilation fills in dims and nnz, with its plans on the
+program's blocks) and carries one ``TraceCache`` for all its runs.  It is
+valid while every ``.mtd`` its compile folded reads the same: a rewritten
+file recompiles.  ``repro.lineage.clear_reuse_caches`` empties the cache.
+``execute`` is safe for concurrent callers (the serving subsystem scores
+one prepared script from many threads): each call gets a fresh context.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import collections
+import threading
+from typing import Optional, Sequence
 
+from repro.api.mlcontext import Results, _to_data_object
+from repro.checkpoint.manager import script_fingerprint
 from repro.compiler.compile import compile_script
-from repro.compiler.sizes import VarStats
+from repro.compiler.sizes import read_mtd
 from repro.config import ReproConfig, default_config
 from repro.errors import RuntimeDMLError
 from repro.lineage import ReuseCache
-from repro.api.mlcontext import Results, _stats_of, _to_data_object
-from repro.runtime.bufferpool import BufferPool
+from repro.lineage.cache import config_scope
 from repro.runtime.context import ExecutionContext
 from repro.runtime.interpreter import execute_program
+from repro.trace import TraceCache
+
+#: Programs the process-wide cache holds; the least recently used leaves.
+PROGRAM_CACHE_ENTRIES = 64
+
+_PROGRAMS: "collections.OrderedDict[tuple, tuple]" = collections.OrderedDict()
+_PROGRAMS_LOCK = threading.Lock()
+
+
+def clear_program_cache() -> None:
+    with _PROGRAMS_LOCK:
+        _PROGRAMS.clear()
+
+
+def _current(program) -> bool:
+    """Whether every ``.mtd`` the program's compile folded reads the same."""
+    return all(read_mtd(path) == meta for path, meta in program.mtd_reads.items())
+
+
+def _cached_program(source: str, outputs: Sequence[str], config: ReproConfig):
+    """The cached ``(program, traces, configs)`` of a script (compiled when
+    missing or stale); ``configs``: ``repr(config)`` -> the object it runs as."""
+    key = (script_fingerprint(source), tuple(outputs), config_scope(config))
+    with _PROGRAMS_LOCK:
+        entry = _PROGRAMS.get(key)
+        if entry is not None:
+            _PROGRAMS.move_to_end(key)
+    if entry is None or not _current(entry[0]):
+        config = config.copy()  # the cache's own object: no caller mutates it
+        entry = (compile_script(source, config, {}, outputs),
+                 TraceCache(config.trace_threshold), {repr(config): config})
+        with _PROGRAMS_LOCK:
+            _PROGRAMS[key] = entry
+            while len(_PROGRAMS) > PROGRAM_CACHE_ENTRIES:
+                _PROGRAMS.popitem(last=False)
+    return entry
 
 
 class PreparedScript:
-    """A precompiled DML script for repeated low-latency execution."""
+    """A precompiled DML script for repeated low-latency execution.
 
-    def __init__(
-        self,
-        source: str,
-        inputs: Sequence[str],
-        outputs: Sequence[str],
-        config: Optional[ReproConfig] = None,
-        reuse_cache: Optional[ReuseCache] = None,
-        pool: Optional[BufferPool] = None,
-        stats=None,
-    ):
+    ``reuse_cache``, ``stats`` and ``checkpoints`` are the caller's session
+    (``MLContext`` passes its own); ``pool`` is shared by all executions."""
+
+    def __init__(self, source: str, inputs: Sequence[str], outputs: Sequence[str],
+                 config: Optional[ReproConfig] = None,
+                 reuse_cache: Optional[ReuseCache] = None, pool=None, stats=None,
+                 checkpoints=None, capture_prints: bool = True):
         self.source = source
         self.input_names = list(inputs)
         self.output_names = list(outputs)
-        self.config = config or default_config()
-        # unknown input sizes at prepare time: blocks flagged for dynamic
-        # recompilation adapt to each call's actual shapes
-        var_stats: Dict[str, VarStats] = {}
-        self.program = compile_script(source, self.config, var_stats, self.output_names)
+        config = config or default_config()
+        self._prepare(config)
+        if reuse_cache is None and config.reuse_enabled:
+            reuse_cache = ReuseCache.for_config(config)
         self._reuse = reuse_cache
-        if self._reuse is None and self.config.reuse_enabled:
-            self._reuse = ReuseCache.for_config(self.config)
-        # shared buffer pool for all executions (serving); None means each
-        # execution context creates its own private pool
-        self._pool = pool
-        # one stats registry for all executions of this prepared script:
-        # concurrent serving workers fold into the same heavy-hitter table
-        self._stats = stats
-        if self._stats is None and self.config.enable_stats:
+        if stats is None and config.enable_stats:
             from repro.obs import StatsRegistry
 
-            self._stats = StatsRegistry()
-        # one trace cache for all executions of this prepared script: the
-        # compiled program (and its basic blocks) is shared across calls,
-        # so hot-loop traces compiled in one call serve every later call
-        self._traces = None
-        if self.config.enable_trace and self._reuse is None:
-            from repro.trace import TraceCache
+            stats = StatsRegistry()  # one registry for every execution
+        self._stats = stats
+        self._pool = pool
+        self._checkpoints = checkpoints
+        self._print_handler = (lambda text: None) if capture_prints else None
 
-            self._traces = TraceCache(self.config.trace_threshold)
+    def _prepare(self, config: ReproConfig) -> None:
+        program, traces, configs = _cached_program(self.source, self.output_names, config)
+        # equal configs run as one object: traces guard on config identity,
+        # so those compiled for an earlier caller serve this one too
+        key = repr(config)
+        if key not in configs and len(configs) < PROGRAM_CACHE_ENTRIES:
+            configs[key] = config.copy()
+        config = configs.get(key, config)
+        if not (config.enable_trace and config.trace_threshold == traces.threshold):
+            traces = None  # the context makes its own per-run cache, if any
+        self._bound = (program, config, traces)
+
+    program = property(lambda self: self._bound[0])
+    config = property(lambda self: self._bound[1])
+    _traces = property(lambda self: self._bound[2])
 
     @property
     def reuse_cache(self) -> Optional[ReuseCache]:
         return self._reuse
 
     def stats(self):
-        """The script's :class:`repro.obs.StatsRegistry` (None when off).
-
-        Enable by preparing with ``config.enable_stats`` or an explicit
-        ``stats=StatsRegistry()``; all ``execute`` calls — including
-        concurrent serving workers — aggregate into it.
-        """
+        """The :class:`repro.obs.StatsRegistry` every execute records into."""
         return self._stats
 
     def set_stats(self, registry) -> "PreparedScript":
-        """Attach a stats registry (or ``None`` to detach) after preparing.
-
-        Subsequent ``execute`` calls record into it; in-flight executions
-        keep whatever registry they started with.
-        """
+        """Record later executions into ``registry`` (None detaches)."""
         self._stats = registry
         return self
 
@@ -105,15 +133,20 @@ class PreparedScript:
         unexpected = [name for name in bindings if name not in self.input_names]
         if unexpected:
             raise RuntimeDMLError(f"unexpected prepared-script inputs: {unexpected}")
+        if not _current(self.program):
+            self._prepare(self.config)  # a file the compile read was rewritten
+        program, config, traces = self._bound
+        if self._checkpoints is not None:
+            self._checkpoints.bind_fingerprint(script_fingerprint(self.source))
         ctx = ExecutionContext(
-            self.program, self.config, pool=self._pool, reuse=self._reuse,
-            print_handler=lambda text: None, stats=self._stats,
-            traces=self._traces,
+            program, config, pool=self._pool, reuse=self._reuse,
+            print_handler=self._print_handler, stats=self._stats,
+            checkpoints=self._checkpoints, traces=traces,
         )
         for name in self.input_names:
             value = _to_data_object(bindings[name])
             ctx.set(name, value)
             if ctx.tracer is not None:
                 ctx.tracer.bind_input(name, value)
-        execute_program(self.program, ctx)
+        execute_program(program, ctx)
         return Results(ctx, self.output_names, protected=self.input_names)

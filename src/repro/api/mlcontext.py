@@ -1,16 +1,17 @@
-"""MLContext-style programmatic API: compile and execute DML scripts with
-in-memory inputs and outputs.
+"""MLContext-style programmatic API: execute DML scripts with in-memory
+inputs and outputs.
 
     from repro import MLContext
     ml = MLContext()
     result = ml.execute("B = t(X) %*% X", inputs={"X": x}, outputs=["B"])
     result.matrix("B")
 
-Inputs may be NumPy arrays, tensor blocks, frames, or Python scalars.  With
-lineage reuse enabled (paper section 3.1) an MLContext holds a session on the
-process-wide reuse cache: inputs are named by their content, so any
-``execute`` — of this or of a later MLContext — that sees the same data
-reuses the reads and products an earlier one cached.
+Inputs may be NumPy arrays, tensor blocks, frames, or Python scalars.
+``execute`` runs the script's cached :class:`~repro.api.jmlc.PreparedScript`
+with this session's reuse cache, stats registry and checkpoint manager, so
+any later run of the script reuses its program, plans and traces.  With
+lineage reuse enabled (paper section 3.1) inputs are named by content, and
+any run that sees the same data reuses what an earlier one cached.
 """
 
 from __future__ import annotations
@@ -19,21 +20,12 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compiler.compile import compile_script
-from repro.compiler.sizes import VarStats
 from repro.config import ReproConfig, default_config
 from repro.errors import RuntimeDMLError
 from repro.lineage import ReuseCache
 from repro.runtime.context import ExecutionContext
-from repro.runtime.data import (
-    FrameObject,
-    ListObject,
-    MatrixObject,
-    ScalarObject,
-)
-from repro.runtime.interpreter import execute_program
+from repro.runtime.data import FrameObject, ListObject, MatrixObject, ScalarObject
 from repro.tensor import BasicTensorBlock, Frame
-from repro.types import DataType
 
 InputValue = Union[np.ndarray, BasicTensorBlock, Frame, int, float, bool, str]
 
@@ -41,12 +33,8 @@ InputValue = Union[np.ndarray, BasicTensorBlock, Frame, int, float, bool, str]
 class Results:
     """Outputs of one script execution."""
 
-    def __init__(
-        self,
-        ctx: ExecutionContext,
-        outputs: Sequence[str],
-        protected: Sequence[str] = (),
-    ):
+    def __init__(self, ctx: ExecutionContext, outputs: Sequence[str],
+                 protected: Sequence[str] = ()):
         self._ctx = ctx
         self.output_names = list(outputs)
         self.prints = list(ctx.prints)
@@ -54,12 +42,8 @@ class Results:
         self._protected = tuple(protected)
 
     def close(self) -> None:
-        """Release the execution context's payloads (after extracting outputs).
-
-        Caller-owned input bindings are protected: their payloads survive.
-        Serving hot paths call this once the outputs are copied out, so the
-        shared buffer pool is not left waiting on garbage collection.
-        """
+        """Release the context's payloads once outputs are copied out (the
+        inputs' payloads survive), and unbind the run's fault plan."""
         self._ctx.close(keep=self._protected)
 
     def get(self, name: str):
@@ -98,7 +82,7 @@ class Results:
 
 
 class MLContext:
-    """Compile-and-execute entry point with a session on the reuse cache."""
+    """Script-execution entry point with a session on the reuse cache."""
 
     def __init__(self, config: Optional[ReproConfig] = None):
         self.config = config or default_config()
@@ -119,12 +103,8 @@ class MLContext:
         return self._reuse
 
     def set_stats(self, enabled: bool = True) -> "MLContext":
-        """Toggle unified runtime statistics (SystemDS ``setStatistics``).
-
-        When enabled, every subsequent :meth:`execute` profiles per
-        instruction into one session-scoped :class:`repro.obs.StatsRegistry`;
-        read it via :meth:`stats`.
-        """
+        """Toggle unified runtime statistics (SystemDS ``setStatistics``):
+        later runs profile into one session :class:`repro.obs.StatsRegistry`."""
         if enabled and self._stats is None:
             from repro.obs import StatsRegistry
 
@@ -141,33 +121,22 @@ class MLContext:
         """The session's :class:`CheckpointManager` (None when off)."""
         return self._checkpoints
 
-    def execute(
-        self,
-        script: str,
-        inputs: Optional[Dict[str, InputValue]] = None,
-        outputs: Optional[Sequence[str]] = None,
-        capture_prints: bool = True,
-    ) -> Results:
-        inputs = inputs or {}
-        outputs = list(outputs or [])
-        bound = {name: _to_data_object(value) for name, value in inputs.items()}
-        stats = {name: _stats_of(value) for name, value in bound.items()}
-        program = compile_script(script, self.config, stats, outputs)
-        handler = (lambda text: None) if capture_prints else None
-        if self._checkpoints is not None:
-            from repro.checkpoint.manager import script_fingerprint
+    def prepare(self, script: str, inputs: Sequence[str] = (),
+                outputs: Optional[Sequence[str]] = None, capture_prints: bool = True):
+        """The prepared script :meth:`execute` runs, bound to this session."""
+        from repro.api.jmlc import PreparedScript
 
-            self._checkpoints.bind_fingerprint(script_fingerprint(script))
-        ctx = ExecutionContext(
-            program, self.config, reuse=self._reuse, print_handler=handler,
-            stats=self._stats, checkpoints=self._checkpoints,
+        return PreparedScript(
+            script, inputs, list(outputs or []), config=self.config,
+            reuse_cache=self._reuse, stats=self._stats,
+            checkpoints=self._checkpoints, capture_prints=capture_prints,
         )
-        for name, value in bound.items():
-            ctx.set(name, value)
-            if ctx.tracer is not None:
-                ctx.tracer.bind_input(name, value)
-        execute_program(program, ctx)
-        return Results(ctx, outputs)
+
+    def execute(self, script: str, inputs: Optional[Dict[str, InputValue]] = None,
+                outputs: Optional[Sequence[str]] = None,
+                capture_prints: bool = True) -> Results:
+        inputs = inputs or {}
+        return self.prepare(script, list(inputs), outputs, capture_prints).execute(**inputs)
 
 
 def dml(script: str) -> "Script":
@@ -202,8 +171,7 @@ class Script:
 
 
 def _to_data_object(value: InputValue):
-    if isinstance(value, MatrixObject) or isinstance(value, FrameObject) \
-            or isinstance(value, ScalarObject) or isinstance(value, ListObject):
+    if isinstance(value, (MatrixObject, FrameObject, ScalarObject, ListObject)):
         return value
     if isinstance(value, BasicTensorBlock):
         return MatrixObject.from_block(value)
@@ -217,15 +185,3 @@ def _to_data_object(value: InputValue):
     if isinstance(value, (int, float, bool, str)):
         return ScalarObject(value)
     raise RuntimeDMLError(f"cannot bind input of type {type(value).__name__}")
-
-
-def _stats_of(value) -> VarStats:
-    if isinstance(value, ScalarObject):
-        return VarStats.scalar(value.value_type)
-    if isinstance(value, MatrixObject):
-        return VarStats(DataType.MATRIX, value.value_type, value.num_rows, value.num_cols, value.nnz)
-    if isinstance(value, FrameObject):
-        return VarStats(DataType.FRAME, None, value.num_rows, value.num_cols, -1)
-    if isinstance(value, ListObject):
-        return VarStats(DataType.LIST, None, len(value), 1, -1)
-    return VarStats()

@@ -148,6 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options copied into the config field of the same meaning when given.
+_PASSED_THROUGH = {
+    "transport_host": "transport_host",
+    "request_timeout": "transport_request_timeout_s",
+    "heartbeat_interval": "heartbeat_interval_s",
+    "heartbeat_grace": "heartbeat_miss_grace",
+    "trace_threshold": "trace_threshold",
+    "pool_budget": "bufferpool_budget_override",
+    "inject_faults": "fault_spec",
+    "fault_seed": "fault_seed",
+}
+
+
 def main(argv=None) -> int:
     """Entry point of ``repro-dml``; returns the process exit code."""
     parser = build_parser()
@@ -170,26 +183,13 @@ def main(argv=None) -> int:
         overrides["enable_trace"] = False
     if args.transport != "inproc":
         overrides["transport"] = args.transport
-    if args.transport_host is not None:
-        overrides["transport_host"] = args.transport_host
-    if args.request_timeout is not None:
-        overrides["transport_request_timeout_s"] = args.request_timeout
-    if args.heartbeat_interval is not None:
-        overrides["heartbeat_interval_s"] = args.heartbeat_interval
-    if args.heartbeat_grace is not None:
-        overrides["heartbeat_miss_grace"] = args.heartbeat_grace
-    if args.trace_threshold is not None:
-        overrides["trace_threshold"] = args.trace_threshold
-    if args.pool_budget is not None:
-        overrides["bufferpool_budget_override"] = args.pool_budget
+    for arg, field in _PASSED_THROUGH.items():
+        if getattr(args, arg) is not None:
+            overrides[field] = getattr(args, arg)
     if args.no_spill_compress:
         overrides["spill_compress"] = False
     if args.compressed_exec:
         overrides["compressed_exec"] = True
-    if args.inject_faults is not None:
-        overrides["fault_spec"] = args.inject_faults
-    if args.fault_seed is not None:
-        overrides["fault_seed"] = args.fault_seed
     if args.retry_budget is not None:
         overrides["retry_budget"] = args.retry_budget
         overrides["enable_resilience"] = True
@@ -214,12 +214,6 @@ def main(argv=None) -> int:
 
     from repro.api.mlcontext import MLContext
 
-    if args.explain:
-        from repro.compiler.compile import compile_script
-
-        program = compile_script(source, config)
-        print(program.explain(), file=sys.stderr)
-
     ml = MLContext(config)
     if args.resume:
         from repro.errors import CheckpointError
@@ -231,9 +225,11 @@ def main(argv=None) -> int:
             return 2
     start = time.time()
     try:
-        results = ml.execute(
-            source, inputs=_parse_args(args.args), capture_prints=False
-        )
+        inputs = _parse_args(args.args)
+        script = ml.prepare(source, list(inputs), capture_prints=False)
+        if args.explain:  # the cached program execute runs
+            print(script.program.explain(), file=sys.stderr)
+        results = script.execute(**inputs)
     except Exception as exc:  # noqa: BLE001 - report any script failure
         from repro.errors import InjectedCrashError
 

@@ -39,6 +39,8 @@ class BasicBlock(StatementBlock):
         self.hop_roots = []  # filled by the DAG builder
         self.instructions = []  # filled by instruction generation
         self.requires_recompile = False
+        #: live-statistics signature -> dynamically recompiled instructions
+        self.plans: Dict[tuple, list] = {}
         self._reads: Optional[frozenset] = None
 
     def reads(self) -> Set[str]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -120,10 +120,15 @@ class FusedRegion:
 
 def _is_fusable(hop: H.Hop) -> bool:
     if isinstance(hop, H.BinaryHop):
-        return hop.op in _BINARY_RENDER and hop.is_matrix()
-    if isinstance(hop, H.UnaryHop):
-        return hop.op in _UNARY_RENDER and hop.is_matrix()
-    return False
+        renders = hop.op in _BINARY_RENDER
+    elif isinstance(hop, H.UnaryHop):
+        renders = hop.op in _UNARY_RENDER
+    else:
+        return False
+    # literals render inline as floats: a string operand (concatenated to
+    # an input of unknown type) keeps its own instruction
+    return renders and hop.is_matrix() and not any(
+        isinstance(c, H.LiteralHop) and isinstance(c.value, str) for c in hop.inputs)
 
 
 def plan_cell_fusion(roots: Sequence[H.Hop]) -> Dict[int, FusedRegion]:
@@ -133,13 +138,6 @@ def plan_cell_fusion(roots: Sequence[H.Hop]) -> Dict[int, FusedRegion]:
     for hop in order:
         for child in hop.inputs:
             consumers[child.hop_id] = consumers.get(child.hop_id, 0) + 1
-    consumed_by_fusable: Dict[int, int] = {}
-    for hop in order:
-        if _is_fusable(hop):
-            for child in hop.inputs:
-                consumed_by_fusable[child.hop_id] = (
-                    consumed_by_fusable.get(child.hop_id, 0) + 1
-                )
 
     regions: Dict[int, FusedRegion] = {}
     claimed: Set[int] = set()

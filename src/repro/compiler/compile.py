@@ -10,7 +10,6 @@ recompilation at runtime.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence
 
 from repro.compiler import hops as H
@@ -29,7 +28,7 @@ from repro.compiler.builder import DagBuilder, builtin_names
 from repro.compiler.instgen import generate_instructions, generate_predicate
 from repro.compiler.ipa import collect_called_functions, run_ipa
 from repro.compiler.rewrites import apply_dynamic_rewrites, apply_rewrites
-from repro.compiler.sizes import VarStats, dag_has_unknowns, propagate_dag
+from repro.compiler.sizes import VarStats, dag_has_unknowns, propagate_dag, recording_mtd_reads
 from repro.config import ReproConfig, default_config
 from repro.errors import CompileError
 from repro.lang import ast
@@ -66,13 +65,12 @@ def compile_program(
 
     builder = DagBuilder(functions)
     stats = dict(input_stats or {})
-    blocks = _finalize_blocks(blocks, stats, builder, config)
-
-    compiled_functions: Dict[str, FunctionBlocks] = {}
-    for name, func in functions.items():
-        compiled_functions[name] = _compile_function(func, builder, config)
-
-    return RuntimeProgram(blocks, compiled_functions, functions, config, output_names)
+    with recording_mtd_reads() as mtd_reads:
+        blocks = _finalize_blocks(blocks, stats, builder, config)
+        compiled_functions: Dict[str, FunctionBlocks] = {}
+        for name, func in functions.items():
+            compiled_functions[name] = _compile_function(func, builder, config)
+    return RuntimeProgram(blocks, compiled_functions, functions, config, output_names, mtd_reads)
 
 
 # ---------------------------------------------------------------------------

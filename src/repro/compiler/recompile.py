@@ -9,9 +9,10 @@ the instruction sequence with fresh operator selections.
 
 Because the generated plan depends only on the *statistics* of the read
 variables (data type, dims, nnz), recompiled instruction sequences are
-cached per (block, statistics signature): a loop whose inputs keep their
-shapes pays for recompilation once, not per iteration.  Dims are exact
-(they fold into literals); nnz enters key *and* recompile as its
+cached on the block (``BasicBlock.plans``) per statistics signature, and
+recompilation compiles under ``ctx.program.config``: a plan lives as long
+as its program, and every run of a cached program reuses it.  Dims are
+exact (they fold into literals); nnz enters key *and* recompile as its
 :func:`nnz_class`, so a cached plan is exactly what a cold recompile
 would produce, and a loop whose active set drifts in sparsity keeps it.
 """
@@ -19,7 +20,6 @@ would produce, and a loop whose active set drifts in sparsity keeps it.
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Dict, List, Tuple
 
 from repro.compiler.blocks import BasicBlock
@@ -28,19 +28,11 @@ from repro.compiler.codegen import _SPARSE_GUARD
 from repro.compiler.instgen import generate_instructions
 from repro.compiler.rewrites import apply_dynamic_rewrites, apply_rewrites
 from repro.compiler.sizes import VarStats, propagate_dag
-from repro.runtime.data import (
-    FrameObject,
-    ListObject,
-    MatrixObject,
-    ScalarObject,
-)
+from repro.runtime.data import FrameObject, ListObject, MatrixObject, ScalarObject
 from repro.tensor.block import SPARSITY_TURN_POINT
 from repro.types import DataType
 
 _CACHE_LOCK = threading.Lock()
-_PLAN_CACHE: "weakref.WeakKeyDictionary[BasicBlock, Dict[Tuple, List]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 #: Per-block cap on cached plans (loops over wildly varying shapes).
 _MAX_PLANS_PER_BLOCK = 32
@@ -92,15 +84,12 @@ def stats_from_symbol_table(ctx) -> Dict[str, VarStats]:
     return stats
 
 
-def _live_signature(names: Tuple[str, ...], variables: Dict) -> Tuple:
+def _live_signature(names, variables: Dict) -> Tuple:
     """A hashable key over the statistics the recompiled plan depends on.
 
-    Built straight from the symbol table for just the block's read names —
-    this sits on the per-iteration hot path of every loop (plan-cache
-    lookups happen before each basic-block execution), so it avoids the
-    full ``stats_from_symbol_table`` materialization on cache hits.  The
-    tuples mirror ``VarStats`` field-for-field (nnz as its
-    :func:`nnz_class`) so equal statistics always map to equal keys.
+    Built from the symbol table for just the block's reads (the hot path
+    of every loop: it avoids ``stats_from_symbol_table`` on plan hits); the
+    tuples mirror ``VarStats`` field-for-field, nnz as its class.
     """
     parts = []
     for name in names:
@@ -129,26 +118,17 @@ def _live_signature(names: Tuple[str, ...], variables: Dict) -> Tuple:
     return tuple(parts)
 
 
-_SORTED_READS: "weakref.WeakKeyDictionary[BasicBlock, Tuple[str, ...]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def recompile_basic_block(block: BasicBlock, ctx) -> List:
     """Instructions for one basic block given live statistics (plan-cached)."""
-    config = ctx.config
-    names = _SORTED_READS.get(block)
-    if names is None:
-        names = _SORTED_READS[block] = tuple(sorted(block.reads()))
-    signature = (_live_signature(names, ctx.variables), id(config))
-    with _CACHE_LOCK:
-        plans = _PLAN_CACHE.get(block)
-        if plans is not None:
-            cached = plans.get(signature)
-            if cached is not None:
-                ctx.metrics["plan_cache_hits"] += 1
-                return cached
+    # the block's memoized read set iterates in one fixed order
+    signature = _live_signature(block.reads(), ctx.variables)
+    plans = block.plans
+    cached = plans.get(signature)
+    if cached is not None:
+        ctx.metrics["plan_cache_hits"] += 1
+        return cached
     ctx.metrics["recompiles"] += 1
+    config = ctx.program.config
     stats = stats_from_symbol_table(ctx)
     traces = getattr(ctx, "traces", None)
     if traces is not None:
@@ -163,7 +143,7 @@ def recompile_basic_block(block: BasicBlock, ctx) -> List:
     propagate_dag(roots, stats)
     instructions = generate_instructions(roots, config)
     with _CACHE_LOCK:
-        plans = _PLAN_CACHE.setdefault(block, {})
         if len(plans) < _MAX_PLANS_PER_BLOCK:
-            plans[signature] = instructions
+            # a racing recompile of the same signature keeps the first plan
+            instructions = plans.setdefault(signature, instructions)
     return instructions

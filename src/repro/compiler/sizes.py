@@ -8,9 +8,10 @@ from these statistics drive local-vs-distributed operator selection.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import os
+import threading
 from typing import Dict, Optional, Sequence
 
 from repro.compiler import hops as H
@@ -128,7 +129,7 @@ def _propagate_pread(hop: H.DataHop) -> None:
     if rows is None or cols is None:
         file_hop = hop.inputs[0] if hop.inputs else None
         if isinstance(file_hop, H.LiteralHop) and isinstance(file_hop.value, str):
-            meta = _read_mtd(file_hop.value)
+            meta = read_mtd(file_hop.value)
             if meta is not None:
                 rows = rows if rows is not None else meta.get("rows")
                 cols = cols if cols is not None else meta.get("cols")
@@ -144,15 +145,30 @@ def _propagate_pread(hop: H.DataHop) -> None:
         hop.data_type = DataType.MATRIX
 
 
-def _read_mtd(path: str) -> Optional[dict]:
-    mtd_path = path + ".mtd"
-    if not os.path.exists(mtd_path):
-        return None
+_MTD_READS = threading.local()
+
+
+@contextlib.contextmanager
+def recording_mtd_reads():
+    """Collect ``{path: metadata or None}`` of every ``.mtd`` read inside."""
+    _MTD_READS.reads = reads = {}
     try:
-        with open(mtd_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        yield reads
+    finally:
+        _MTD_READS.reads = None
+
+
+def read_mtd(path: str) -> Optional[dict]:
+    """The parsed ``.mtd`` next to a data file (None when there is none)."""
+    try:
+        with open(path + ".mtd", "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
     except (OSError, json.JSONDecodeError):
-        return None
+        meta = None
+    reads = getattr(_MTD_READS, "reads", None)
+    if reads is not None:
+        reads[path] = meta
+    return meta
 
 
 def _propagate_datagen(hop: H.DataGenHop) -> None:

@@ -115,9 +115,12 @@ _PROCESS_STORE = _Store(REUSE_CACHE_BYTES)
 
 
 def clear_reuse_caches() -> None:
-    """Drop every entry of the process-wide store (test and benchmark
-    harnesses call it so that no run starts warm from an earlier one)."""
+    """Drop the process-wide store and every cached program (harnesses
+    call it so that no run starts warm from an earlier one)."""
+    from repro.api.jmlc import clear_program_cache
+
     _PROCESS_STORE.clear()
+    clear_program_cache()
 
 
 class ReuseCache:

@@ -229,6 +229,11 @@ class WorkerPool:
         """Attach the fault injector (kill points) and the shared stats."""
         self._resilience = resilience
 
+    def unbind_resilience(self, resilience) -> None:
+        """Detach ``resilience`` unless a later run bound its own since."""
+        if self._resilience is resilience:
+            self._resilience = None
+
     def snapshot(self) -> dict:
         with self._stats_lock:
             snap = dict(self._stats)

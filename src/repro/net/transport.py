@@ -67,6 +67,9 @@ class Transport:
         deaths/respawns are counted in the resilience section too.
         """
 
+    def unbind_resilience(self, resilience) -> None:
+        """Detach ``resilience`` if it is still the bound manager."""
+
     def snapshot(self) -> dict:
         """The obs ``transport`` section (stable keys: ``STAT_KEYS``)."""
         raise NotImplementedError

@@ -38,6 +38,7 @@ import pickle
 import shutil
 import tempfile
 import threading
+import weakref
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -116,6 +117,20 @@ def scavenge_spill_dirs(root: str, prefix: str = SPILL_PREFIX,
     return removed
 
 
+def _release_spill_dir(spill_dir: str, entry_prefix: str) -> None:
+    """Remove one pool's spill files, then the directory once nothing but
+    the pid marker is left in it (other pools may still spill there)."""
+    try:
+        for name in os.listdir(spill_dir):
+            if name.startswith(entry_prefix):
+                os.unlink(os.path.join(spill_dir, name))
+        if not [name for name in os.listdir(spill_dir) if name != PID_FILE]:
+            os.unlink(os.path.join(spill_dir, PID_FILE))
+            os.rmdir(spill_dir)
+    except OSError:
+        pass  # already gone, or another pool's files appeared meanwhile
+
+
 def _scavenge_once(root: str, own_dir: str) -> None:
     with _SCAVENGE_LOCK:
         if root in _SCAVENGED_ROOTS:
@@ -167,7 +182,9 @@ class BufferPool:
         #: When False, restored-compressed payloads inflate before leaving
         #: the pool, so kernels only ever see dense/sparse stores.
         self.compressed_exec = compressed_exec
-        self._pid_written = False
+        #: Set at the first spill: removes this pool's spill files and
+        #: directory at close(), or when the pool is collected unclosed.
+        self._release: Optional[weakref.finalize] = None
         # One startup scavenge per parent directory: reclaim spill dirs a
         # crashed process left behind (its pid is gone, ours differs).
         _scavenge_once(self._spill_root, self.spill_dir)
@@ -310,15 +327,8 @@ class BufferPool:
         """
         with self._lock:
             self.clear()
-            if self._pid_written:
-                try:
-                    leftover = [n for n in os.listdir(self.spill_dir)
-                                if n != PID_FILE]
-                    if not leftover:
-                        os.unlink(os.path.join(self.spill_dir, PID_FILE))
-                        self._pid_written = False
-                except OSError:
-                    pass
+            if self._release is not None:
+                self._release()
             try:
                 if self.spill_dir is not None:
                     os.rmdir(self.spill_dir)
@@ -453,12 +463,14 @@ class BufferPool:
             self.spill_dir = tempfile.mkdtemp(prefix=SPILL_PREFIX,
                                               dir=self._spill_root)
         os.makedirs(self.spill_dir, exist_ok=True)
-        if not self._pid_written:
+        if self._release is None or not self._release.alive:
             atomic_write_bytes(
                 os.path.join(self.spill_dir, PID_FILE),
                 f"{os.getpid()}\n".encode("ascii"),
             )
-            self._pid_written = True
+            self._release = weakref.finalize(
+                self, _release_spill_dir, self.spill_dir, f"entry-{id(self)}-"
+            )
         return self.spill_dir
 
     def _spill_write(self, entry: CacheEntry) -> None:

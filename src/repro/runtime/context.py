@@ -57,8 +57,13 @@ class ExecutionContext:
             from repro.net import for_config
 
             self.transport = for_config(config)
-            if self.transport is not None and faults is not None:
+        if self.transport is not None:
+            # the transport is process-global: this run's manager — or none,
+            # unarming an earlier run's fault plan — until close()
+            if faults is not None:
                 faults.bind_transport(self.transport)
+            else:
+                self.transport.bind_resilience(None)
         #: Optional :class:`repro.checkpoint.CheckpointManager`; None keeps
         #: every interpreter boundary on its zero-overhead fast path.  Only
         #: the main frame carries one — :meth:`child` drops it, so function
@@ -259,6 +264,8 @@ class ExecutionContext:
                 release()
         if self.tracer is not None:
             self.tracer.items.clear()
+        if self.faults is not None and self.transport is not None:
+            self.transport.unbind_resilience(self.faults)
 
     # --- child frames ----------------------------------------------------------------
 

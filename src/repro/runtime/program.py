@@ -13,7 +13,8 @@ class RuntimeProgram:
     """A compiled DML script: block hierarchy plus compiled functions.
 
     ``ast_functions`` retains the function ASTs so dynamic recompilation can
-    rebuild basic-block DAGs against live statistics.
+    rebuild basic-block DAGs against live statistics, under ``config``.
+    ``mtd_reads`` maps each file whose ``.mtd`` the compile folded to it.
     """
 
     def __init__(
@@ -23,12 +24,14 @@ class RuntimeProgram:
         ast_functions: Dict[str, ast.FunctionDef],
         config: ReproConfig,
         outputs: Optional[List[str]] = None,
+        mtd_reads: Optional[Dict[str, Optional[dict]]] = None,
     ):
         self.blocks = blocks
         self.functions = functions
         self.ast_functions = ast_functions
         self.config = config
         self.outputs = list(outputs or [])
+        self.mtd_reads = dict(mtd_reads or {})
 
     def explain(self) -> str:
         """A readable rendering of the compiled program (for debugging)."""

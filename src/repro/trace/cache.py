@@ -1,8 +1,8 @@
 """The trace cache: hotness counting, compiled-trace storage, invalidation.
 
-One :class:`TraceCache` lives per execution-context family (the main frame
-plus its function/parfor children).  It keys on the *identity* of a basic
-block's instruction list: the recompiler's plan cache hands back the same
+One :class:`TraceCache` lives per cached program (``repro.api.jmlc``), or
+per execution-context family given none.  It keys on the *identity* of a
+basic block's instruction list: the block's plan cache hands back the same
 list object for the same operand-size signature, so a stable plan yields a
 stable key and a recompile to a new plan naturally misses.
 

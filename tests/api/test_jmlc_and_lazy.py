@@ -31,6 +31,12 @@ class TestPreparedScript:
         with pytest.raises(RuntimeDMLError, match="unexpected"):
             ps.execute(Z=np.ones((1, 1)))
 
+    def test_string_literal_next_to_untyped_input(self):
+        # compiled without input statistics, ``a * 2`` may be a matrix:
+        # cell fusion must not render the string literal as a float
+        ps = PreparedScript('s = "value: " + (a * 2)', inputs=["a"], outputs=["s"])
+        assert ps.execute(a=21).scalar("s") == "value: 42"
+
     def test_adapts_to_changing_shapes(self):
         ps = PreparedScript("n = nrow(X)", inputs=["X"], outputs=["n"])
         assert ps.execute(X=np.ones((3, 2))).scalar("n") == 3

@@ -10,11 +10,13 @@ no test can be served (or starved) by entries an earlier test left behind,
 and test order cannot matter.
 
 The session ends with a leak check: once the process-global transports
-are closed, no ``multiprocessing`` child may be alive, and no ``rshm-*``
-segment this process published and no empty ``repro-spill-*`` directory
-may have appeared since the session started (spill directories holding a
-pid marker are reclaimed by the next pool's scavenge, by design).  A leak
-fails the run.
+are closed and garbage is collected, no ``multiprocessing`` child may be
+alive, and no ``rshm-*`` segment this process published and no
+``repro-spill-*`` directory that is empty or holds only this process's
+pid marker may have appeared since the session started (a pool removes
+its spill directory at ``close()``, or when it is collected unclosed).
+Cached programs hold no pool, so the check holds with the program cache
+warm.  A leak fails the run.
 
 ``wait_until`` is the repo-wide replacement for fixed ``time.sleep`` in
 tests that coordinate with background threads (the serving batcher's
@@ -23,6 +25,7 @@ fast as the thread allows and fail loudly instead of flaking when it
 stalls.
 """
 
+import gc
 import multiprocessing
 import os
 import random
@@ -34,7 +37,7 @@ import pytest
 
 from repro.io.shm import HEADER_SIZE, SHM_DIR, SHM_PREFIX, _read_header
 from repro.lineage import clear_reuse_caches
-from repro.runtime.bufferpool import SPILL_PREFIX
+from repro.runtime.bufferpool import PID_FILE, SPILL_PREFIX
 
 
 def _published_here(path: str) -> bool:
@@ -47,15 +50,24 @@ def _published_here(path: str) -> bool:
     return header is not None and header["pid"] == os.getpid()
 
 
-def _empty_dir(path: str) -> bool:
-    return os.path.isdir(path) and not os.listdir(path)
+def _abandoned_spill_dir(path: str) -> bool:
+    """Empty, or holding nothing but this process's pid marker."""
+    try:
+        names = os.listdir(path)
+        if names == [PID_FILE]:
+            with open(os.path.join(path, PID_FILE), encoding="utf-8") as handle:
+                return handle.read().strip() == str(os.getpid())
+    except OSError:
+        return False
+    return not names
 
 
 def _leftovers() -> set:
-    """Segments this process published and empty spill directories."""
+    """Segments this process published and abandoned spill directories."""
     found = set()
     for root, prefix, left in ((SHM_DIR, SHM_PREFIX, _published_here),
-                               (tempfile.gettempdir(), SPILL_PREFIX, _empty_dir)):
+                               (tempfile.gettempdir(), SPILL_PREFIX,
+                                _abandoned_spill_dir)):
         try:
             names = os.listdir(root)
         except OSError:
@@ -77,6 +89,7 @@ def pytest_sessionfinish(session, exitstatus):
         instance = cls.__dict__.get("_instance")
         if instance is not None:
             instance.close()
+    gc.collect()  # an unclosed pool's finalizer removes its spill directory
     leaks = sorted(_leftovers() - session.config._leftovers_at_start)
     leaks += [f"live child process {child.name} (pid {child.pid})"
               for child in multiprocessing.active_children()]

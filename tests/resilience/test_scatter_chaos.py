@@ -108,37 +108,39 @@ _ORDERED = ("worker_deaths", "worker_respawns", "resent_requests",
             "frames_corrupt_rejected")
 
 
+def _run(config, addresses):
+    """Host two partitions, run the federated L2SVM, close, clear the sites."""
+    rng = np.random.default_rng(17)
+    data = rng.random((40, 4))
+    registry = registry_for(config)
+    registry.clear()
+    for address, part in zip(addresses, (data[:20], data[20:])):
+        registry.start_site(address).put("X", BasicTensorBlock.from_numpy(part))
+    transport = for_config(config)
+    before = transport.snapshot() if transport is not None else {}
+    try:
+        ml = MLContext(config)
+        result = ml.execute(
+            L2SVM % tuple(addresses),
+            inputs={"y": data @ np.ones((4, 1)),
+                    "R1": np.asarray([[0.0, 0.0, 20.0, 4.0]]),
+                    "R2": np.asarray([[20.0, 0.0, 40.0, 4.0]])},
+            outputs=["w"],
+        )
+        w = result.matrix("w")
+        result.close()
+        stats = ml.stats()
+        resilience = stats.snapshot()["resilience"] if stats else None
+    finally:
+        registry.clear()
+    wire = {key: transport.snapshot()[key] - before[key]
+            for key in _ORDERED} if transport is not None else None
+    return w, resilience, wire
+
+
 class TestBoundFaultPlanReplays:
     """Chaos runs the path production runs: a bound fault plan wraps the
     scattered batch, and the same seed still replays the same faults."""
-
-    def _run(self, config, addresses):
-        rng = np.random.default_rng(17)
-        data = rng.random((40, 4))
-        registry = registry_for(config)
-        registry.clear()
-        for address, part in zip(addresses, (data[:20], data[20:])):
-            registry.start_site(address).put("X", BasicTensorBlock.from_numpy(part))
-        transport = for_config(config)
-        before = transport.snapshot() if transport is not None else {}
-        try:
-            ml = MLContext(config)
-            result = ml.execute(
-                L2SVM % tuple(addresses),
-                inputs={"y": data @ np.ones((4, 1)),
-                        "R1": np.asarray([[0.0, 0.0, 20.0, 4.0]]),
-                        "R2": np.asarray([[20.0, 0.0, 40.0, 4.0]])},
-                outputs=["w"],
-            )
-            w = result.matrix("w")
-            result.close()
-            stats = ml.stats()
-            resilience = stats.snapshot()["resilience"] if stats else None
-        finally:
-            registry.clear()
-        wire = {key: transport.snapshot()[key] - before[key]
-                for key in _ORDERED} if transport is not None else None
-        return w, resilience, wire
 
     def test_same_seed_same_counters(self):
         chaos = ReproConfig(
@@ -149,9 +151,9 @@ class TestBoundFaultPlanReplays:
         # one site per fed worker, so every batch can scatter
         addresses = [_address_on(for_config(chaos), slot, "seed") for slot in (0, 1)]
         try:
-            clean_w, __, __ = self._run(ReproConfig(), addresses)
-            first_w, first_resilience, first_wire = self._run(chaos, addresses)
-            second_w, second_resilience, second_wire = self._run(chaos, addresses)
+            clean_w, __, __ = _run(ReproConfig(), addresses)
+            first_w, first_resilience, first_wire = _run(chaos, addresses)
+            second_w, second_resilience, second_wire = _run(chaos, addresses)
         finally:
             for_config(chaos).close()
         np.testing.assert_array_equal(first_w, clean_w)
@@ -163,3 +165,35 @@ class TestBoundFaultPlanReplays:
         assert first_wire["partitions"] == 2
         assert first_wire["frames_duplicated"] > 0
         assert first_resilience["injected_by_point"].get("site.request", 0) > 0
+
+
+class TestFaultPlanEndsWithItsRun:
+    """The transport is process-global, but a fault plan belongs to one
+    run: closing its results unbinds it, and a run without one binds none."""
+
+    def test_plain_runs_after_a_chaos_run_are_not_faulted(self):
+        common = {"transport": "tcp", "heartbeat_interval_s": 0.1}
+        chaos = ReproConfig(fault_spec="fed.worker:p=0.2", fault_seed=3,
+                            enable_stats=True, **common, **_FAST_RETRY)
+        plain = ReproConfig(**common)
+        transport = for_config(chaos)
+        assert for_config(plain) is transport
+        addresses = [_address_on(transport, slot, "seed") for slot in (0, 1)]
+        try:
+            clean_w, __, __ = _run(ReproConfig(), addresses)
+            chaos_w, resilience, chaos_wire = _run(chaos, addresses)
+            before = transport.snapshot()
+            plain_runs = [_run(plain, addresses) for __ in range(2)]
+            after = transport.snapshot()
+        finally:
+            transport.close()
+        # the plan did fire in its own run
+        assert chaos_wire["worker_deaths"] > 0
+        assert resilience["injected_by_point"].get("fed.worker", 0) > 0
+        np.testing.assert_array_equal(chaos_w, clean_w)
+        for plain_w, plain_resilience, __ in plain_runs:
+            np.testing.assert_array_equal(plain_w, clean_w)
+            assert plain_resilience is None
+        # hosting traffic and the runs themselves: nothing SIGKILLed
+        for key in ("worker_deaths", "worker_respawns", "resent_requests"):
+            assert after[key] == before[key], key

@@ -13,7 +13,6 @@ from repro.compiler.blocks import BasicBlock, ForBlock, IfBlock
 from repro.compiler.codegen import _SPARSE_GUARD
 from repro.compiler.compile import compile_script
 from repro.compiler.recompile import (
-    _PLAN_CACHE,
     nnz_class,
     recompile_basic_block,
     stats_from_symbol_table,
@@ -108,8 +107,6 @@ class TestRecompilation:
 
 class TestPlanCache:
     def test_same_shapes_reuse_plan(self):
-        from repro.compiler.recompile import _PLAN_CACHE
-
         program = compile_script(
             "s = 0\nfor (i in 1:5) { s = s + sum(X %*% t(X)) }", outputs=["s"]
         )
@@ -119,15 +116,13 @@ class TestPlanCache:
 
         execute_program(program, ml_ctx)
         body_block = program.blocks[1].body[0]
-        plans = _PLAN_CACHE.get(body_block)
-        assert plans is not None
+        plans = body_block.plans
+        assert plans
         # two signatures at most: s is INT64 on entry to iteration 1 and
         # FP64 afterwards; iterations 2..5 all hit the second plan
         assert len(plans) <= 2
 
     def test_changing_shapes_get_distinct_plans(self):
-        from repro.compiler.recompile import _PLAN_CACHE
-
         source = """
         A = X
         sizes = matrix(0, 3, 1)
@@ -263,7 +258,7 @@ class TestPlanCacheBounds:
         return program, block
 
     def test_eviction_cap_bounds_plans_per_block(self):
-        from repro.compiler.recompile import _MAX_PLANS_PER_BLOCK, _PLAN_CACHE
+        from repro.compiler.recompile import _MAX_PLANS_PER_BLOCK
 
         program, block = self._recompile_block()
         config = ReproConfig()
@@ -274,20 +269,27 @@ class TestPlanCacheBounds:
             ))
             instructions = recompile_basic_block(block, ctx)
             assert instructions  # still served beyond the cap, just uncached
-        assert len(_PLAN_CACHE[block]) <= _MAX_PLANS_PER_BLOCK
+        assert len(block.plans) <= _MAX_PLANS_PER_BLOCK
 
     def test_cache_keys_include_the_config(self):
-        from repro.compiler.recompile import _PLAN_CACHE
-
-        program, block = self._recompile_block()
+        # plans live on the blocks of a program, which is compiled (and
+        # recompiles) under one config; the context's config object —
+        # here an equal copy — plays no part in the plan key
+        plans = []
         for config in (ReproConfig(), ReproConfig(enable_rewrites=False)):
-            ctx = ExecutionContext(program, config)
-            ctx.set("X", MatrixObject.from_block(
-                BasicTensorBlock.rand((6, 3), seed=9)
-            ))
-            recompile_basic_block(block, ctx)
+            program = compile_script("s = sum(X %*% t(X))", config, {}, ["s"])
+            block = program.blocks[0]
+            for __ in range(2):
+                ctx = ExecutionContext(program, config.copy())
+                ctx.set("X", MatrixObject.from_block(
+                    BasicTensorBlock.rand((6, 3), seed=9)
+                ))
+                recompile_basic_block(block, ctx)
+            assert ctx.metrics["plan_cache_hits"] == 1
+            plans.extend(block.plans.values())
         # same statistics under two configs: two distinct cached plans
-        assert len(_PLAN_CACHE[block]) == 2
+        assert len(plans) == 2
+        assert plans[0] is not plans[1]
 
     def test_same_context_hits_the_cached_plan(self):
         program, block = self._recompile_block()
@@ -409,7 +411,7 @@ class TestSparsityDrift:
         body = list(_basic_blocks(program.functions["train"].blocks))
         assert any(block.requires_recompile for block in body)
         for block in body:
-            assert len(_PLAN_CACHE.get(block, {})) <= 2
+            assert len(block.plans) <= 2
         assert ctx.traces.snapshot()["invalidations_recompile"] <= 2
         reference, _, _ = self._run(ReproConfig(enable_recompile=False))
         assert w.tobytes() == reference.tobytes()
